@@ -15,6 +15,7 @@ import numpy as np
 
 from .extract import Item, Rule
 from .quality import confidence as _confidence
+from .quality import rule_counts, rule_metrics
 from .quality import support as _support
 from .quality import zhang as _zhang
 from .transact import TransactionTable
@@ -120,26 +121,19 @@ def rules_from_itemsets(
         raise ValueError("min_confidence must be in [0, 1]")
     if max_antecedents < 1:
         raise ValueError("max_antecedents must be >= 1")
-    rules = []
+    candidates = []
     for itemset in sorted(itemsets, key=lambda s: (len(s.items), _canonical(s.items))):
         items = _canonical(itemset.items)
         if not 2 <= len(items) <= max_antecedents + 1:
             continue
         for consequent in items:
-            antecedent = frozenset(set(items) - {consequent})
-            rule = Rule(antecedent, consequent)
-            conf = _confidence(rule, table)
-            if conf >= min_confidence:
-                rules.append(
-                    Rule(
-                        antecedent,
-                        consequent,
-                        support=_support(rule, table),
-                        confidence=conf,
-                        zhang=_zhang(rule, table),
-                    )
-                )
-    return rules
+            candidates.append(Rule(frozenset(set(items) - {consequent}), consequent))
+    supports, confidences, _, zhangs = rule_metrics(*rule_counts(candidates, table), table.n_rows)
+    return [
+        Rule(rule.antecedent, rule.consequent, support=sup, confidence=conf, zhang=zh)
+        for rule, sup, conf, zh in zip(candidates, supports, confidences, zhangs)
+        if conf >= min_confidence
+    ]
 
 
 def _enumeration_size(table: TransactionTable, max_antecedents: int) -> int:
@@ -208,5 +202,6 @@ def coupled_support_threshold(reference_rules, table: TransactionTable) -> float
     rules = list(reference_rules)
     if not rules:
         raise ValueError("cannot couple a support threshold to an empty rule list")
-    mean = sum(_support(rule, table) for rule in rules) / len(rules)
+    _, n_xy, _ = rule_counts(rules, table)
+    mean = sum((n_xy / table.n_rows).tolist()) / len(rules)
     return mean / 2.0

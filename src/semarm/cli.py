@@ -340,11 +340,11 @@ def cmd_mine(settings) -> int:
     started = time.perf_counter()
     rules = extract.extract_rules(net, config)
     extract_seconds = time.perf_counter() - started
-    rules = quality.annotate_rules(rules, table)
     report = quality.evaluate(rules, table)
+    annotated = [stats.rule for stats in report.per_rule]
 
     out = _out_dir(settings)
-    _write_text(out / "rules.json", extract.rules_to_json(rules, table.features) + "\n")
+    _write_text(out / "rules.json", extract.rules_to_json(annotated, table.features) + "\n")
     doc = quality.report_to_doc(report, table.features)
     doc["timings"] = {"extract_seconds": extract_seconds}
     _write_text(out / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")

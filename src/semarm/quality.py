@@ -2,7 +2,10 @@
 coverage, data coverage, and Zhang's association-strength metric.
 
 All metrics are exact integer counts followed by one final division, so
-independent row-scan recomputations agree bit-for-bit.
+independent row-scan recomputations agree bit-for-bit. ``rule_counts`` counts
+a whole rule list in one pass over per-item row bitsets (the vertical layout
+of ECLAT), one bitset per distinct antecedent; the scalar metric functions
+recount one rule at a time as its reference.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extract import Rule, rule_to_doc
+from .extract import Item, Rule, rule_to_doc
 from .transact import Feature, TransactionTable
 
 __all__ = [
@@ -22,6 +25,8 @@ __all__ = [
     "rule_coverage",
     "data_coverage",
     "zhang",
+    "rule_counts",
+    "rule_metrics",
     "evaluate",
     "annotate_rules",
     "report_to_doc",
@@ -115,18 +120,80 @@ class RuleQualityReport:
     data_coverage: float
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _slot_bits(table: TransactionTable) -> np.ndarray:
+    """Vertical layout: for each one-hot slot, in layout order, the rows
+    holding it as a bitset packed into uint64 words."""
+    layout = table.layout()
+    slots = table.rows + np.asarray(layout.offsets, dtype=np.int64)
+    hits = np.zeros((layout.width, -(-table.n_rows // 64) * 64), dtype=bool)
+    hits[slots, np.arange(table.n_rows)[:, None]] = True
+    return np.packbits(hits, axis=1).view(np.uint64)
+
+
+def _count_pass(rules: list[Rule], table: TransactionTable):
+    """Per-rule (n_x, n_xy, n_y) int64 arrays, plus the number of rows that
+    match at least one antecedent.
+
+    Rules are grouped by antecedent; each distinct antecedent's row bitset is
+    the AND of its items' bitsets, built once and intersected with every
+    consequent of the group.
+    """
+    offsets = table.layout().offsets
+    bits = _slot_bits(table)
+    consequent_slots = np.array(
+        [offsets[r.consequent.feature] + r.consequent.class_index for r in rules], dtype=np.int64
+    )
+    groups: dict[frozenset[Item], list[int]] = {}
+    for i, rule in enumerate(rules):
+        groups.setdefault(rule.antecedent, []).append(i)
+    n_x = np.zeros(len(rules), dtype=np.int64)
+    n_xy = np.zeros(len(rules), dtype=np.int64)
+    covered = np.zeros(bits.shape[1], dtype=np.uint64)
+    for antecedent, members in groups.items():
+        x_slots = [offsets[item.feature] + item.class_index for item in antecedent]
+        x_bits = np.bitwise_and.reduce(bits[x_slots], axis=0)
+        covered |= x_bits
+        n_x[members] = _popcount(x_bits)
+        n_xy[members] = _popcount(bits[consequent_slots[members]] & x_bits)
+    n_y = _popcount(bits)[consequent_slots]
+    return n_x, n_xy, n_y, int(_popcount(covered))
+
+
+def rule_counts(rules, table: TransactionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(antecedent, antecedent+consequent, consequent) counts per rule, as
+    int64 arrays in rule order, from one pass over the table."""
+    return _count_pass(list(rules), table)[:3]
+
+
+def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[list, list, list, list]:
+    """Support, confidence, rule coverage and Zhang's metric per rule, as
+    Python floats, from count arrays over ``n`` rows. Each is the same
+    float64 division as the scalar function of the same name."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conf_x = np.where(n_x > 0, n_xy / n_x, 0.0)
+        conf_not_x = (n_y - n_xy) / (n - n_x)
+        denom = np.maximum(conf_x, conf_not_x)
+        zhang_values = np.where((n_x == n) | (denom == 0.0), 0.0, (conf_x - conf_not_x) / denom)
+    return (n_xy / n).tolist(), conf_x.tolist(), (n_x / n).tolist(), zhang_values.tolist()
+
+
 def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
-    """Measure every metric for every rule; empty rule lists yield a valid
-    all-zero report."""
+    """Measure every metric for every rule from one counting pass; empty rule
+    lists yield a valid all-zero report.
+
+    Each ``RuleStats.rule`` is a copy of the input rule carrying its measured
+    support, confidence and zhang.
+    """
+    rules = list(rules)
+    n_x, n_xy, n_y, covered = _count_pass(rules, table)
+    supports, confidences, coverages, zhangs = rule_metrics(n_x, n_xy, n_y, table.n_rows)
     per_rule = [
-        RuleStats(
-            rule,
-            support(rule, table),
-            confidence(rule, table),
-            rule_coverage(rule, table),
-            zhang(rule, table),
-        )
-        for rule in rules
+        RuleStats(Rule(r.antecedent, r.consequent, support=s, confidence=c, zhang=z), s, c, v, z)
+        for r, s, c, v, z in zip(rules, supports, confidences, coverages, zhangs)
     ]
     count = len(per_rule)
 
@@ -136,26 +203,17 @@ def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
     return RuleQualityReport(
         per_rule=per_rule,
         rule_count=count,
-        mean_support=mean([s.support for s in per_rule]),
-        mean_confidence=mean([s.confidence for s in per_rule]),
-        mean_coverage=mean([s.rule_coverage for s in per_rule]),
-        mean_zhang=mean([s.zhang for s in per_rule]),
-        data_coverage=data_coverage(rules, table),
+        mean_support=mean(supports),
+        mean_confidence=mean(confidences),
+        mean_coverage=mean(coverages),
+        mean_zhang=mean(zhangs),
+        data_coverage=covered / table.n_rows if count else 0.0,
     )
 
 
 def annotate_rules(rules, table: TransactionTable) -> list[Rule]:
     """Copies of the rules with measured support/confidence/zhang attached."""
-    return [
-        Rule(
-            rule.antecedent,
-            rule.consequent,
-            support=support(rule, table),
-            confidence=confidence(rule, table),
-            zhang=zhang(rule, table),
-        )
-        for rule in rules
-    ]
+    return [stats.rule for stats in evaluate(rules, table).per_rule]
 
 
 def report_to_doc(report: RuleQualityReport, features: list[Feature]) -> dict:

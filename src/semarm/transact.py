@@ -72,13 +72,15 @@ class SensorSeries:
 def _parse_timestamp(text: str) -> float:
     """Integer epoch seconds or ISO-8601; naive ISO datetimes are read as UTC."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    dt = datetime.fromisoformat(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.timestamp()
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite timestamp {text!r}")
+    return value
 
 
 def load_sensor_csv(source) -> SensorSeries:
@@ -86,7 +88,9 @@ def load_sensor_csv(source) -> SensorSeries:
 
     Values wrapped in double quotes are categorical; unquoted values are
     parsed as decimals, falling back to categorical for non-numeric text.
-    Duplicate (sensor, timestamp) keys are rejected.
+    Duplicate (sensor, timestamp) keys, empty sensor ids or values,
+    unparseable timestamps and non-finite numbers are rejected with the
+    line number.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -103,7 +107,14 @@ def load_sensor_csv(source) -> SensorSeries:
         if len(row) != 3:
             raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
         ts_text, sensor, raw = (f.strip() for f in row)
-        key = (sensor, _parse_timestamp(ts_text))
+        if not sensor:
+            raise ValueError(f"line {lineno}: empty sensor_id")
+        if not raw:
+            raise ValueError(f"line {lineno}: empty value")
+        try:
+            key = (sensor, _parse_timestamp(ts_text))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if key in readings:
             raise ValueError(f"line {lineno}: duplicate reading for {key}")
         if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
@@ -113,6 +124,9 @@ def load_sensor_csv(source) -> SensorSeries:
                 value = float(raw)
             except ValueError:
                 value = raw
+            else:
+                if not math.isfinite(value):
+                    raise ValueError(f"line {lineno}: non-finite value {raw!r}")
         readings[key] = value
     return SensorSeries(readings)
 

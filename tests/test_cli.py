@@ -116,6 +116,30 @@ class TestTrain:
                    "--model", out / "model.json", "--out", out) == 0
 
 
+class TestMalformedCsv:
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("120,s1,nan", "line 4: non-finite value 'nan'"),
+            ("120,s1,-inf", "line 4: non-finite value '-inf'"),
+            ("nan,s1,3.5", "line 4: non-finite timestamp 'nan'"),
+            ("120,,3.5", "line 4: empty sensor_id"),
+            ("120,s1,", "line 4: empty value"),
+            (",s1,3.5", "line 4: Invalid isoformat string"),
+        ],
+    )
+    def test_bad_field_is_line_numbered_data_error(self, tmp_path, capsys, bad_line, message):
+        csv_path = tmp_path / "sensors.csv"
+        csv_path.write_text(
+            "timestamp,sensor_id,value\n0,s1,1.5\n60,s1,2.5\n" + bad_line + "\n180,s1,0.5\n"
+        )
+        code = run("train", "--sensors", csv_path, "--out", tmp_path / "run", "--epochs", 1)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: data: " + message)
+        assert err.count("\n") == 1
+
+
 class TestMine:
     def test_planted_rules_recovered(self, dataset, trained, capsys):
         assert run("mine", "--sensors", dataset / "sensors.csv",

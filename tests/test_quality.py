@@ -9,6 +9,7 @@ from semarm.quality import (
     evaluate,
     format_report,
     report_to_doc,
+    rule_counts,
     rule_coverage,
     support,
     zhang,
@@ -57,6 +58,17 @@ def oracle_data_coverage(rules, table):
         if any(all(row_has(table, r, i) for i in rule.antecedent) for rule in rules):
             covered += 1
     return covered / table.n_rows
+
+
+def oracle_counts(rule, table):
+    n_x = n_xy = n_y = 0
+    for r in range(table.n_rows):
+        x = all(row_has(table, r, i) for i in rule.antecedent)
+        y = row_has(table, r, rule.consequent)
+        n_x += x
+        n_y += y
+        n_xy += x and y
+    return n_x, n_xy, n_y
 
 
 def oracle_zhang(rule, table):
@@ -223,6 +235,15 @@ class TestReport:
         assert report.mean_confidence == 1.0
         assert report.data_coverage == 1.0
 
+    def test_evaluate_accepts_a_one_pass_iterable(self):
+        table = table_from_rows([[0, 0], [0, 1], [1, 0]])
+        rules = [RULE, Rule(frozenset({Item(1, 0)}), Item(0, 0))]
+        from_list = evaluate(rules, table)
+        from_iter = evaluate(iter(rules), table)
+        assert from_list.data_coverage == 1.0
+        assert from_iter.data_coverage == from_list.data_coverage
+        assert from_iter.rule_count == 2
+
     def test_empty_report_is_valid(self):
         report = evaluate([], table_from_rows([[0, 0]]))
         assert report.rule_count == 0
@@ -250,3 +271,88 @@ class TestReport:
         text = format_report(evaluate([RULE], table), table.features)
         assert "f0=v0 -> f1=v0" in text
         assert "Data cov." in text
+
+
+def kernel_table(rng):
+    """Random table with at least one single-class feature (its item covers
+    every row) and one class that never occurs."""
+    n_rows = int(rng.integers(1, 151))
+    n_features = int(rng.integers(3, 7))
+    features, columns = [], []
+    for f in range(n_features):
+        drawn = 1 if f == 0 else int(rng.integers(1, 4))
+        declared = drawn + 1 if f == 1 else drawn
+        features.append(Feature(f"f{f}", "categorical", [f"v{c}" for c in range(declared)]))
+        columns.append(rng.integers(0, drawn, size=n_rows))
+    return TransactionTable(features, np.column_stack(columns))
+
+
+def kernel_rules(rng, table):
+    """Random rules in groups sharing an antecedent, plus rules whose
+    antecedent covers every row or never occurs."""
+    def item(feature):
+        return Item(feature, int(rng.integers(0, len(table.features[feature].class_values))))
+
+    rules = []
+    for _ in range(int(rng.integers(0, 6))):
+        feats = [int(f) for f in rng.permutation(table.n_features)]
+        n_ante = int(rng.integers(1, min(3, table.n_features - 1) + 1))
+        antecedent = frozenset(item(f) for f in feats[:n_ante])
+        for f in feats[n_ante:n_ante + int(rng.integers(1, 4))]:
+            rules.append(Rule(antecedent, item(f)))
+    unused = Item(1, len(table.features[1].class_values) - 1)
+    rules.append(Rule(frozenset({Item(0, 0)}), item(2)))
+    rules.append(Rule(frozenset({unused}), item(2)))
+    rules.append(Rule(frozenset({unused, Item(0, 0)}), item(2)))
+    order = rng.permutation(len(rules))
+    return [rules[i] for i in order]
+
+
+class TestCountingKernel:
+    def test_counts_match_row_scan_exactly(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            table = kernel_table(rng)
+            rules = kernel_rules(rng, table)
+            n_x, n_xy, n_y = rule_counts(rules, table)
+            assert n_x.dtype == n_xy.dtype == n_y.dtype == np.int64
+            got = list(zip(n_x.tolist(), n_xy.tolist(), n_y.tolist()))
+            assert got == [oracle_counts(rule, table) for rule in rules]
+            assert 0 in n_x.tolist() and table.n_rows in n_x.tolist()
+
+    def test_empty_rule_list(self):
+        table = kernel_table(np.random.default_rng(47))
+        assert [a.tolist() for a in rule_counts([], table)] == [[], [], []]
+        assert evaluate([], table).data_coverage == 0.0
+
+    def test_evaluate_equals_scalar_metrics(self):
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            table = kernel_table(rng)
+            rules = kernel_rules(rng, table)
+            report = evaluate(rules, table)
+            columns = {"support": [], "confidence": [], "rule_coverage": [], "zhang": []}
+            for stats, rule in zip(report.per_rule, rules):
+                expected = {
+                    "support": support(rule, table),
+                    "confidence": confidence(rule, table),
+                    "rule_coverage": rule_coverage(rule, table),
+                    "zhang": zhang(rule, table),
+                }
+                assert expected["support"] == oracle_support(rule, table)
+                assert expected["zhang"] == oracle_zhang(rule, table)
+                for key, value in expected.items():
+                    assert getattr(stats, key) == value
+                    columns[key].append(value)
+                assert stats.rule == rule
+                assert (stats.rule.support, stats.rule.confidence, stats.rule.zhang) == (
+                    expected["support"], expected["confidence"], expected["zhang"]
+                )
+            count = len(rules)
+            assert report.rule_count == count
+            assert report.mean_support == sum(columns["support"]) / count
+            assert report.mean_confidence == sum(columns["confidence"]) / count
+            assert report.mean_coverage == sum(columns["rule_coverage"]) / count
+            assert report.mean_zhang == sum(columns["zhang"]) / count
+            assert report.data_coverage == data_coverage(rules, table)
+            assert report.data_coverage == oracle_data_coverage(rules, table)
