@@ -130,7 +130,7 @@ def rules_from_itemsets(
             candidates.append(Rule(frozenset(set(items) - {consequent}), consequent))
     supports, confidences, _, zhangs = rule_metrics(*rule_counts(candidates, table), table.n_rows)
     return [
-        Rule(rule.antecedent, rule.consequent, support=sup, confidence=conf, zhang=zh)
+        rule.with_metrics(sup, conf, zh)
         for rule, sup, conf, zh in zip(candidates, supports, confidences, zhangs)
         if conf >= min_confidence
     ]

@@ -68,6 +68,19 @@ class Rule:
         if self.consequent.feature in set(features):
             raise ValueError("consequent feature may not appear in the antecedent")
 
+    def with_metrics(self, support: float, confidence: float, zhang: float) -> Rule:
+        """Copy of this rule carrying measured metrics. It skips the checks
+        of ``__post_init__``: its items are this rule's, already checked."""
+        copy = object.__new__(Rule)
+        copy.__dict__.update(
+            antecedent=self.antecedent,
+            consequent=self.consequent,
+            support=support,
+            confidence=confidence,
+            zhang=zhang,
+        )
+        return copy
+
     def render(self, features: list[Feature]) -> str:
         lhs = ", ".join(item.render(features) for item in sorted(self.antecedent))
         return f"{lhs} -> {self.consequent.render(features)}"

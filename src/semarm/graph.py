@@ -73,23 +73,6 @@ class PropertyGraph:
     labels: dict[str, set[str]] = field(default_factory=dict)
     properties: dict[str, dict[str, object]] = field(default_factory=dict)
 
-    def validate(self):
-        for edge, (src, dst) in self.edge_endpoints.items():
-            if edge not in self.edge_ids:
-                raise ValueError(f"endpoints for unknown edge {edge!r}")
-            if src not in self.node_ids or dst not in self.node_ids:
-                raise ValueError(f"edge {edge!r} references missing node {src!r} or {dst!r}")
-        if set(self.edge_endpoints) != self.edge_ids:
-            missing = self.edge_ids - set(self.edge_endpoints)
-            raise ValueError(f"edges without endpoints: {sorted(missing)}")
-        all_ids = self.node_ids | self.edge_ids
-        for owner in self.labels:
-            if owner not in all_ids:
-                raise ValueError(f"labels for unknown id {owner!r}")
-        for owner in self.properties:
-            if owner not in all_ids:
-                raise ValueError(f"properties for unknown id {owner!r}")
-
     def adjacency(self) -> dict[str, list[tuple[str, str]]]:
         """Undirected adjacency: node -> sorted list of (edge_id, other_node)."""
         adj: dict[str, list[tuple[str, str]]] = {}
@@ -106,11 +89,6 @@ class Binding:
     """Total map from sensor ids to the graph nodes they are attached to."""
 
     sensor_to_node: dict[str, str] = field(default_factory=dict)
-
-    def validate_against(self, graph: PropertyGraph):
-        for sensor, node in self.sensor_to_node.items():
-            if node not in graph.node_ids:
-                raise ValueError(f"sensor {sensor!r} bound to missing node {node!r}")
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
     n_x, n_xy, n_y, covered = _count_pass(rules, table)
     supports, confidences, coverages, zhangs = rule_metrics(n_x, n_xy, n_y, table.n_rows)
     per_rule = [
-        RuleStats(Rule(r.antecedent, r.consequent, support=s, confidence=c, zhang=z), s, c, v, z)
+        RuleStats(r.with_metrics(s, c, z), s, c, v, z)
         for r, s, c, v, z in zip(rules, supports, confidences, coverages, zhangs)
     ]
     count = len(per_rule)

@@ -6,10 +6,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -55,18 +54,11 @@ class SensorSeries:
     def sensors(self) -> list[str]:
         return sorted({sensor for sensor, _ in self.readings})
 
-    @property
-    def timestamps(self) -> list[float]:
-        return sorted({ts for _, ts in self.readings})
-
     def is_numeric(self, sensor: str) -> bool:
         for (s, _), value in self.readings.items():
             if s == sensor:
                 return not isinstance(value, str)
         raise KeyError(sensor)
-
-    def timestamps_of(self, sensor: str) -> list[float]:
-        return sorted(ts for (s, ts) in self.readings if s == sensor)
 
 
 def _parse_timestamp(text: str) -> float:
@@ -131,39 +123,99 @@ def load_sensor_csv(source) -> SensorSeries:
     return SensorSeries(readings)
 
 
+def _key_columns(series: SensorSeries):
+    """Sorted sensor names, plus each reading's index into them and its
+    timestamp, as arrays in reading order."""
+    names, stamps = zip(*series.readings)
+    sensors = sorted(set(names))
+    sensor_of = np.array(list(map({s: i for i, s in enumerate(sensors)}.__getitem__, names)))
+    return sensors, sensor_of, np.array(stamps, dtype=np.float64)
+
+
+def _segment_means(values: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean of each run ``values[first[i]:first[i] + lengths[i]]``.
+
+    Each run is summed left to right, one add per value, which fixes the last
+    bit of every mean; ``np.add.reduceat`` sums runs of 8 or more pairwise and
+    can round differently. Runs are visited longest first, so step k adds the
+    k-th value of each run in a prefix of them.
+    """
+    by_length = np.argsort(-lengths, kind="stable")
+    first, lengths = first[by_length], lengths[by_length]
+    sums = np.zeros(len(first))
+    active = np.searchsorted(-lengths, -np.arange(lengths.max(initial=0)), side="left")
+    for k, m in enumerate(active.tolist()):
+        sums[:m] += values[first[:m] + k]
+    means = np.empty_like(sums)
+    means[by_length] = sums / lengths
+    return means
+
+
+def _segment_modes(codes: np.ndarray, segment: np.ndarray, n_codes: int):
+    """(segment, code) of the most frequent code in each segment, ties going
+    to the smallest code, for readings with the given segment ids."""
+    pairs, counts = np.unique(segment * n_codes + codes, return_counts=True)
+    seg, code = np.divmod(pairs, n_codes)
+    order = np.lexsort((code, -counts, seg))
+    seg, code = seg[order], code[order]
+    best = np.r_[True, seg[1:] != seg[:-1]]
+    return seg[best], code[best]
+
+
 def aggregate(series: SensorSeries, window: float) -> SensorSeries:
     """Aggregate readings into time frames of ``window`` seconds.
 
-    Numeric sensors take the arithmetic mean of in-window values, categorical
-    sensors the modal value (ties broken by the lexicographically smallest).
-    Only windows in which every sensor reports survive: a transaction exists
-    only where all sensors have a value. Output timestamps are window starts.
+    Numeric sensors take the arithmetic mean of in-window values, summed in
+    timestamp order; categorical sensors the modal value (ties broken by the
+    lexicographically smallest). Only windows in which every sensor reports
+    survive: a transaction exists only where all sensors have a value. Output
+    timestamps are window starts, in (sensor, window start) order.
+
+    The work is done column at a time: one lexsort by (sensor, window start,
+    timestamp) makes each (sensor, window) cell a contiguous segment.
     """
     if not series.readings:
         raise ValueError("cannot aggregate an empty series")
     if window <= 0:
         raise ValueError("window must be positive")
-    buckets: dict[str, dict[float, list]] = {}
-    for (sensor, ts), value in series.readings.items():
-        start = math.floor(ts / window) * window
-        buckets.setdefault(sensor, {}).setdefault(start, []).append((ts, value))
+    sensors, sensor, ts = _key_columns(series)
+    raw = list(series.readings.values())
+    n = len(raw)
+    # categorical values become codes into their sorted vocabulary, numbers -1
+    vocab = sorted(v for v in set(raw) if isinstance(v, str))
+    value_code = {v: i for i, v in enumerate(vocab)}
+    codes = np.array(list(map(value_code.get, raw, repeat(-1))), dtype=np.int64)
+    numbers = np.zeros(n)
+    numeric_reading = codes < 0
+    numbers[numeric_reading] = np.array(raw, dtype=object)[numeric_reading].astype(np.float64)
+    # + 0.0 maps -0.0 to 0.0, as math.floor(ts / window) * window does
+    start = np.floor(ts / window) * window + 0.0
+    order = np.lexsort((ts, start, sensor))
+    sensor, start, codes, numbers = sensor[order], start[order], codes[order], numbers[order]
 
-    sensors = sorted(buckets)
-    shared = set(buckets[sensors[0]])
-    for sensor in sensors[1:]:
-        shared &= set(buckets[sensor])
+    first = np.flatnonzero(np.r_[True, (sensor[1:] != sensor[:-1]) | (start[1:] != start[:-1])])
+    lengths = np.diff(np.r_[first, n])
+    seg_sensor, seg_start = sensor[first], start[first]
+    # each (sensor, window) is one segment: a window every sensor reports
+    # is the start of len(sensors) segments
+    _, window_of, per_window = np.unique(seg_start, return_inverse=True, return_counts=True)
+    keep = per_window[window_of] == len(sensors)
+    if not keep.any():
+        raise ValueError(f"no {window:g}-second window in which every sensor reports")
 
-    out: dict[tuple[str, float], float | str] = {}
-    for sensor in sensors:
-        for start in sorted(shared):
-            values = [v for _, v in sorted(buckets[sensor][start])]
-            if isinstance(values[0], str):
-                counts = Counter(values)
-                best = max(counts.values())
-                out[(sensor, start)] = min(v for v, c in counts.items() if c == best)
-            else:
-                out[(sensor, start)] = float(sum(values)) / len(values)
-    return SensorSeries(out)
+    categorical = codes[first] >= 0
+    values = np.empty(len(first), dtype=object)
+    numeric = np.flatnonzero(keep & ~categorical)
+    values[numeric] = _segment_means(numbers, first[numeric], lengths[numeric])
+    modal = np.repeat(keep & categorical, lengths)
+    if modal.any():
+        segment = np.repeat(np.arange(len(first)), lengths)
+        seg, code = _segment_modes(codes[modal], segment[modal], len(vocab))
+        values[seg] = np.array(vocab, dtype=object)[code]
+
+    kept = np.flatnonzero(keep)
+    keys = zip(np.array(sensors, dtype=object)[seg_sensor[kept]].tolist(), seg_start[kept].tolist())
+    return SensorSeries(dict(zip(keys, values[kept].tolist())))
 
 
 @dataclass
@@ -194,33 +246,27 @@ def discretize_equal_frequency(values, intervals: int) -> Discretization:
     Duplicate-heavy or constant columns collapse to fewer classes (down to a
     single class) instead of erroring.
     """
-    values = [float(v) for v in values]
+    values = np.fromiter(values, dtype=np.float64)
     if intervals < 1:
         raise ValueError("intervals must be >= 1")
-    if not values:
+    if not values.size:
         raise ValueError("cannot discretize an empty column")
     n = len(values)
-    ordered = sorted(values)
-    raw_edges = []
-    for k in range(1, intervals):
-        idx = math.ceil(k * n / intervals)  # 1-based position
-        raw_edges.append(ordered[idx - 1])
-    edges = sorted(set(raw_edges))
+    # stable, so equal values keep input order and each bin's last sorted
+    # value is its last maximal input value, as a running max() keeps
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    raw_edges = [ordered[math.ceil(k * n / intervals) - 1] for k in range(1, intervals)]
+    edges = np.unique(raw_edges)
 
     # values <= edge fall below it, so bin index = count of edges < value
-    provisional = [int(np.searchsorted(edges, v, side="left")) for v in values]
-    occupied = sorted(set(provisional))
-    remap = {old: new for new, old in enumerate(occupied)}
-    assignment = [remap[b] for b in provisional]
-
-    lows: dict[int, float] = {}
-    highs: dict[int, float] = {}
-    for v, b in zip(values, assignment):
-        lows[b] = min(v, lows.get(b, v))
-        highs[b] = max(v, highs.get(b, v))
-    labels = [f"{_format_bound(lows[b])}-{_format_bound(highs[b])}" for b in range(len(occupied))]
-    final_edges = [highs[b] for b in range(len(occupied) - 1)]
-    return Discretization(final_edges, labels, assignment)
+    provisional = np.searchsorted(edges, values, side="left")
+    _, assignment = np.unique(provisional, return_inverse=True)
+    ends = np.cumsum(np.bincount(assignment))
+    lows = ordered[np.r_[0, ends[:-1]]].tolist()
+    highs = ordered[ends - 1].tolist()
+    labels = [f"{_format_bound(lo)}-{_format_bound(hi)}" for lo, hi in zip(lows, highs)]
+    return Discretization(highs[:-1], labels, assignment.tolist())
 
 
 @dataclass(frozen=True)
@@ -406,18 +452,22 @@ def build_transactions(
     """
     if not series.readings:
         raise ValueError("empty series")
-    sensors = series.sensors
-    windows = series.timestamps
-    for sensor in sensors:
-        if series.timestamps_of(sensor) != windows:
-            raise ValueError(
-                f"series is not aggregated: sensor {sensor!r} misses some windows"
-            )
+    sensors, sensor_of, ts = _key_columns(series)
+    windows, window_of = np.unique(ts, return_inverse=True)
+    n = len(windows)
+    # (sensor, timestamp) keys are unique, so a sensor with n readings has all n windows
+    short = np.flatnonzero(np.bincount(sensor_of, minlength=len(sensors)) != n)
+    if short.size:
+        raise ValueError(
+            f"series is not aggregated: sensor {sensors[short[0]]!r} misses some windows"
+        )
+    order = np.lexsort((window_of, sensor_of))
+    grid = np.array(list(series.readings.values()), dtype=object)[order].reshape(len(sensors), n)
 
     features: list[Feature] = []
     columns: list[list[int]] = []
 
-    def add_numeric(name: str, values: list[float]):
+    def add_numeric(name: str, values):
         disc = discretize_equal_frequency(values, intervals)
         features.append(Feature(name, "numeric", disc.labels, disc.edges))
         columns.append(disc.assignment)
@@ -428,19 +478,18 @@ def build_transactions(
         features.append(Feature(name, "categorical", classes))
         columns.append([index[v] for v in values])
 
-    n = len(windows)
-    for sensor in sensors:
-        values = [series.readings[(sensor, w)] for w in windows]
+    for sensor, row in zip(sensors, grid):
+        values = row.tolist()
         if isinstance(values[0], str):
-            add_categorical(sensor, values)  # type: ignore[arg-type]
+            add_categorical(sensor, values)
         else:
-            add_numeric(sensor, [float(v) for v in values])
+            add_numeric(sensor, values)
         if enrichment is not None:
             for name, raw in _semantic_features(sensor, enrichment):
                 if isinstance(raw, bool) or isinstance(raw, str):
                     add_categorical(name, [str(raw)] * n)
                 else:
-                    add_numeric(name, [float(raw)] * n)
+                    add_numeric(name, np.full(n, float(raw)))
 
     rows = np.array(columns, dtype=np.int64).T if columns else np.zeros((0, 0), np.int64)
     return TransactionTable(features, rows)

@@ -82,7 +82,7 @@ class TestTrain:
         manifest = json.loads((trained / "manifest.json").read_text())
         assert manifest["pipeline"]["enrich"] is False
         assert len(manifest["features"]) == 5
-        assert "train_seconds" in manifest["timings"]
+        assert {"ingest_seconds", "train_seconds"} <= set(manifest["timings"])
 
     def test_enrichment_manifest_differs_only_in_features(self, dataset, tmp_path):
         plain_dir, rich_dir = tmp_path / "plain", tmp_path / "rich"
@@ -138,6 +138,15 @@ class TestMalformedCsv:
         assert code == 3
         assert err.startswith("error: data: " + message)
         assert err.count("\n") == 1
+
+    def test_sensors_without_a_common_window_name_the_cause(self, tmp_path, capsys):
+        csv_path = tmp_path / "sensors.csv"
+        csv_path.write_text("timestamp,sensor_id,value\n0,a,1.0\n120,b,2.0\n")
+        code = run("train", "--sensors", csv_path, "--out", tmp_path / "run", "--epochs", 1)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("error: data:") == 1 and err.count("\n") == 1
+        assert "window" in err
 
 
 class TestMine:

@@ -1,7 +1,14 @@
 import json
+import math
+import random
+from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semarm.graph import load_graph
 from semarm.transact import (
@@ -11,6 +18,7 @@ from semarm.transact import (
     GroupLayout,
     SensorSeries,
     TransactionTable,
+    _semantic_features,
     aggregate,
     build_transactions,
     decode_one_hot,
@@ -270,3 +278,204 @@ class TestOneHot:
     def test_encoded_matrix_width_checked(self):
         with pytest.raises(ValueError):
             EncodedMatrix(GroupLayout((2, 2)), np.zeros((1, 3)))
+
+
+# Row-at-a-time references for the column-at-a-time aggregate, discretize and
+# build_transactions: the implementations they replaced, kept as oracles.
+
+
+def oracle_aggregate(series: SensorSeries, window: float) -> SensorSeries:
+    buckets: dict[str, dict[float, list]] = {}
+    for (sensor, ts), value in series.readings.items():
+        start = math.floor(ts / window) * window
+        buckets.setdefault(sensor, {}).setdefault(start, []).append((ts, value))
+
+    sensors = sorted(buckets)
+    shared = set(buckets[sensors[0]])
+    for sensor in sensors[1:]:
+        shared &= set(buckets[sensor])
+
+    out: dict[tuple[str, float], float | str] = {}
+    for sensor in sensors:
+        for start in sorted(shared):
+            values = [v for _, v in sorted(buckets[sensor][start])]
+            if isinstance(values[0], str):
+                counts = Counter(values)
+                best = max(counts.values())
+                out[(sensor, start)] = min(v for v, c in counts.items() if c == best)
+            else:
+                # a left fold: what sum() computes before Python 3.12, which
+                # made sum() of floats compensated
+                out[(sensor, start)] = float(reduce(add, values, 0)) / len(values)
+    return SensorSeries(out)
+
+
+def oracle_discretize(values, intervals):
+    values = [float(v) for v in values]
+    n = len(values)
+    ordered = sorted(values)
+    raw_edges = []
+    for k in range(1, intervals):
+        idx = math.ceil(k * n / intervals)
+        raw_edges.append(ordered[idx - 1])
+    edges = sorted(set(raw_edges))
+    provisional = [int(np.searchsorted(edges, v, side="left")) for v in values]
+    occupied = sorted(set(provisional))
+    remap = {old: new for new, old in enumerate(occupied)}
+    assignment = [remap[b] for b in provisional]
+    lows: dict[int, float] = {}
+    highs: dict[int, float] = {}
+    for v, b in zip(values, assignment):
+        lows[b] = min(v, lows.get(b, v))
+        highs[b] = max(v, highs.get(b, v))
+    labels = [f"{_format(lows[b])}-{_format(highs[b])}" for b in range(len(occupied))]
+    final_edges = [highs[b] for b in range(len(occupied) - 1)]
+    return final_edges, labels, assignment
+
+
+def _format(value):
+    return str(int(value)) if float(value).is_integer() else f"{value:.12g}"
+
+
+def oracle_build_transactions(series, enrichment=None, intervals=10):
+    sensors = series.sensors
+    windows = sorted({ts for _, ts in series.readings})
+    for sensor in sensors:
+        if sorted(ts for (s, ts) in series.readings if s == sensor) != windows:
+            raise ValueError(f"series is not aggregated: sensor {sensor!r} misses some windows")
+    features, columns = [], []
+
+    def add_numeric(name, values):
+        edges, labels, assignment = oracle_discretize(values, intervals)
+        features.append(Feature(name, "numeric", labels, edges))
+        columns.append(assignment)
+
+    def add_categorical(name, values):
+        classes = sorted(set(values))
+        index = {v: i for i, v in enumerate(classes)}
+        features.append(Feature(name, "categorical", classes))
+        columns.append([index[v] for v in values])
+
+    n = len(windows)
+    for sensor in sensors:
+        values = [series.readings[(sensor, w)] for w in windows]
+        if isinstance(values[0], str):
+            add_categorical(sensor, values)
+        else:
+            add_numeric(sensor, [float(v) for v in values])
+        if enrichment is not None:
+            for name, raw in _semantic_features(sensor, enrichment):
+                if isinstance(raw, (bool, str)):
+                    add_categorical(name, [str(raw)] * n)
+                else:
+                    add_numeric(name, [float(raw)] * n)
+    return TransactionTable(features, np.array(columns, dtype=np.int64).T)
+
+
+def exact_items(series):
+    """Readings in insertion order, with value types and the sign of zeros."""
+    return [(s, repr(ts), type(v), repr(v)) for (s, ts), v in series.readings.items()]
+
+
+def exact_features(table):
+    return [(f.name, f.kind, f.class_values, [repr(e) for e in f.bin_edges]) for f in table.features]
+
+
+WINDOWS = (60.0, 7.5, 1.0, 0.3)
+NUMBER_POOLS = (
+    [4.0],  # constant
+    [0.1, 0.2, 0.3],  # duplicate-heavy, sums that round differently by order
+    [-2.5, 0.0, 1e-3, 1e16, 3.0],
+)
+
+
+@st.composite
+def raw_series(draw, names=("s1", "s2", "s3", "t4")):
+    """Readings from 1-4 sensors, numeric and categorical mixed, in shuffled
+    insertion order; each sensor reports 1-40 readings in some windows,
+    negative and fractional timestamps included."""
+    window = draw(st.sampled_from(WINDOWS))
+    sensors = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+    windows = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    readings = []
+    for sensor in sensors:
+        categorical = rng.random() < 0.5
+        pool = rng.choice(NUMBER_POOLS)
+        for w in windows:
+            if len(windows) > 1 and rng.random() < 0.15:
+                continue  # this sensor misses the window
+            count = draw(st.integers(1, 40))
+            offsets = rng.sample(range(1, 1000), count)
+            if rng.random() < 0.3:
+                offsets[0] = 0  # a window start; at 0 it may be -0.0
+            for offset in offsets:
+                ts = (w + offset / 1000) * window
+                if ts == 0.0 and rng.random() < 0.5:
+                    ts = -0.0
+                if categorical:
+                    value = rng.choice("ab" if rng.random() < 0.5 else "abc")
+                elif rng.random() < 0.3:
+                    value = rng.uniform(-100.0, 100.0)
+                else:
+                    value = rng.choice(pool)
+                readings.append(((sensor, ts), value))
+    rng.shuffle(readings)
+    return SensorSeries(dict(readings)), window
+
+
+class TestColumnarMatchesOracle:
+    @given(raw_series())
+    @settings(max_examples=150, deadline=None)
+    def test_aggregate(self, drawn):
+        series, window = drawn
+        expected = oracle_aggregate(series, window)
+        if not expected.readings:
+            with pytest.raises(ValueError, match=f"no {window:g}-second window"):
+                aggregate(series, window)
+        else:
+            assert exact_items(aggregate(series, window)) == exact_items(expected)
+
+    @given(raw_series(), st.integers(1, 12), st.sampled_from([None, 0, 1, 2]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_build_transactions(self, drawn, intervals, depth, pre_aggregate):
+        series, window = drawn
+        if pre_aggregate:
+            series = oracle_aggregate(series, window)
+            if not series.readings:
+                return
+        enrichment = None
+        if depth is not None:
+            if any(s not in WATER_GRAPH["bindings"] for s in series.sensors):
+                return
+            enrichment = water_context(depth)
+
+        def outcome(build):
+            try:
+                table = build(series, enrichment, intervals)
+            except ValueError as exc:
+                return str(exc)
+            return exact_features(table), table.rows.tolist()
+
+        assert outcome(build_transactions) == outcome(oracle_build_transactions)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 0.1]),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_discretize(self, values, intervals):
+        disc = discretize_equal_frequency(values, intervals)
+        edges, labels, assignment = oracle_discretize(values, intervals)
+        assert [repr(e) for e in disc.edges] == [repr(e) for e in edges]
+        assert disc.labels == labels
+        assert disc.assignment == assignment
+        assert all(type(e) is float for e in disc.edges)
+        assert all(type(a) is int for a in disc.assignment)
