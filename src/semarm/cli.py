@@ -139,6 +139,10 @@ def _write_text(path: Path, text: str):
         fh.write(text)
 
 
+def _write_json(path: Path, doc):
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -295,7 +299,7 @@ def cmd_train(settings) -> int:
         "final_loss": net.final_loss,
         "timings": {"ingest_seconds": ingest_seconds, "train_seconds": train_seconds},
     }
-    _write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest)
     print(f"wrote {out / 'model.json'} (final loss {net.final_loss:.4f}, "
           f"{table.n_rows} transactions, {table.n_features} features)")
     return EXIT_OK
@@ -347,9 +351,10 @@ def cmd_mine(settings) -> int:
 
     out = _out_dir(settings)
     _write_text(out / "rules.json", extract.rules_to_json(annotated, table.features) + "\n")
-    doc = quality.report_to_doc(report, table.features)
-    doc["timings"] = {"extract_seconds": extract_seconds}
-    _write_text(out / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    report_json = quality.report_to_json(
+        report, table.features, timings={"extract_seconds": extract_seconds}
+    )
+    _write_text(out / "report.json", report_json + "\n")
     _write_text(out / "report.txt", quality.format_report(report, table.features))
     print(f"wrote {out / 'rules.json'} ({report.rule_count} rules, "
           f"data coverage {report.data_coverage:.2f})")
@@ -384,10 +389,10 @@ def cmd_baseline(settings) -> int:
 
     out = _out_dir(settings)
     _write_text(out / "baseline_rules.json", extract.rules_to_json(rules, table.features) + "\n")
-    doc = quality.report_to_doc(report, table.features)
-    doc["min_support"] = min_support
-    doc["timings"] = {"mine_seconds": mine_seconds}
-    _write_text(out / "baseline_report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    report_json = quality.report_to_json(
+        report, table.features, min_support=min_support, timings={"mine_seconds": mine_seconds}
+    )
+    _write_text(out / "baseline_report.json", report_json + "\n")
     _write_text(out / "baseline_report.txt", quality.format_report(report, table.features))
     print(f"wrote {out / 'baseline_rules.json'} ({report.rule_count} rules "
           f"at min support {min_support:.4f})")
@@ -433,8 +438,10 @@ def cmd_compare(settings) -> int:
 
     out = _out_dir(settings)
     _write_text(out / "compare.txt", text)
-    doc = {"left": left, "right": right, "left_label": left_label, "right_label": right_label}
-    _write_text(out / "compare.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(
+        out / "compare.json",
+        {"left": left, "right": right, "left_label": left_label, "right_label": right_label},
+    )
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -10,8 +10,10 @@ class clears the threshold becomes a consequent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "extract_rules",
     "rule_to_doc",
     "rule_from_doc",
+    "rules_array_json",
     "rules_to_json",
     "rules_from_json",
 ]
@@ -218,6 +221,13 @@ def rule_to_doc(rule: Rule, features: list[Feature]) -> dict:
     return doc
 
 
+def _feature_lookup(features: list[Feature]) -> dict[str, tuple[int, dict[str, int]]]:
+    return {
+        f.name: (i, {c: j for j, c in enumerate(f.class_values)})
+        for i, f in enumerate(features)
+    }
+
+
 def _item_from_doc(doc: dict, by_name: dict[str, tuple[int, dict[str, int]]]) -> Item:
     try:
         feature_idx, class_lookup = by_name[doc["feature"]]
@@ -226,11 +236,7 @@ def _item_from_doc(doc: dict, by_name: dict[str, tuple[int, dict[str, int]]]) ->
         raise ValueError(f"unknown feature or class in rule document: {exc}") from exc
 
 
-def rule_from_doc(doc: dict, features: list[Feature]) -> Rule:
-    by_name = {
-        f.name: (i, {c: j for j, c in enumerate(f.class_values)})
-        for i, f in enumerate(features)
-    }
+def _rule_from_doc(doc: dict, by_name: dict[str, tuple[int, dict[str, int]]]) -> Rule:
     return Rule(
         frozenset(_item_from_doc(d, by_name) for d in doc["antecedent"]),
         _item_from_doc(doc["consequent"], by_name),
@@ -240,13 +246,82 @@ def rule_from_doc(doc: dict, features: list[Feature]) -> Rule:
     )
 
 
+def rule_from_doc(doc: dict, features: list[Feature]) -> Rule:
+    return _rule_from_doc(doc, _feature_lookup(features))
+
+
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def rules_array_json(rows, features: list[Feature], depth: int = 0) -> str:
+    """JSON array of rule documents, byte for byte as
+    ``json.dumps(docs, indent=2, sort_keys=True)`` writes it when the array
+    sits ``depth`` levels deep in an enclosing document.
+
+    ``rows`` yields ``(rule, confidence, coverage, support, zhang)``; a
+    metric that is None is left out, as ``rule_to_doc`` does. Every item is
+    rendered once and every distinct antecedent once; a rule joins these
+    fragments.
+    """
+    pad = ["\n" + "  " * (depth + level) for level in range(5)]
+
+    def items(inner: str, outer: str) -> list[list[str]]:
+        return [
+            [
+                f'{{{inner}"class": {_json_scalar(value)},'
+                f'{inner}"feature": {_json_scalar(feature.name)}{outer}}}'
+                for value in feature.class_values
+            ]
+            for feature in features
+        ]
+
+    elements, consequents = items(pad[4], pad[3]), items(pad[3], pad[2])
+    antecedents: dict[frozenset[Item], str] = {}
+    field_sep = "," + pad[2]
+    docs = []
+    for rule, confidence, coverage, support, zhang in rows:
+        antecedent = antecedents.get(rule.antecedent)
+        if antecedent is None:
+            listed = ("," + pad[3]).join(
+                elements[i.feature][i.class_index] for i in sorted(rule.antecedent)
+            )
+            antecedent = antecedents[rule.antecedent] = f'"antecedent": [{pad[3]}{listed}{pad[2]}]'
+        fields = [antecedent]
+        if confidence is not None:
+            fields.append(f'"confidence": {_json_scalar(confidence)}')
+        consequent = rule.consequent
+        fields.append('"consequent": ' + consequents[consequent.feature][consequent.class_index])
+        if coverage is not None:
+            fields.append(f'"coverage": {_json_scalar(coverage)}')
+        if support is not None:
+            fields.append(f'"support": {_json_scalar(support)}')
+        if zhang is not None:
+            fields.append(f'"zhang": {_json_scalar(zhang)}')
+        docs.append("{" + pad[2] + field_sep.join(fields) + pad[1] + "}")
+    if not docs:
+        return "[]"
+    return "[" + pad[1] + ("," + pad[1]).join(docs) + pad[0] + "]"
+
+
 def rules_to_json(rules: list[Rule], features: list[Feature]) -> str:
-    """Serialize rules as a JSON array; deterministic for identical inputs."""
-    return json.dumps([rule_to_doc(r, features) for r in rules], indent=2, sort_keys=True)
+    """Serialize rules as a JSON array; deterministic for identical inputs.
+
+    The bytes are those of ``json.dumps([rule_to_doc(r, features) for r in
+    rules], indent=2, sort_keys=True)``.
+    """
+    rows = ((r, r.confidence, None, r.support, r.zhang) for r in rules)
+    return rules_array_json(rows, features)
 
 
 def rules_from_json(text, features: list[Feature]) -> list[Rule]:
     docs = json.loads(text)
     if not isinstance(docs, list):
         raise ValueError("rules document must be a JSON array")
-    return [rule_from_doc(doc, features) for doc in docs]
+    by_name = _feature_lookup(features)
+    return [_rule_from_doc(doc, by_name) for doc in docs]

@@ -10,11 +10,12 @@ recount one rule at a time as its reference.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .extract import Item, Rule, rule_to_doc
+from .extract import Item, Rule, rule_to_doc, rules_array_json
 from .transact import Feature, TransactionTable
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "evaluate",
     "annotate_rules",
     "report_to_doc",
+    "report_to_json",
     "format_report",
     "REPORT_SCHEMA",
 ]
@@ -216,16 +218,19 @@ def annotate_rules(rules, table: TransactionTable) -> list[Rule]:
     return [stats.rule for stats in evaluate(rules, table).per_rule]
 
 
-def report_to_doc(report: RuleQualityReport, features: list[Feature]) -> dict:
-    doc = {
+def _aggregates(report: RuleQualityReport) -> dict:
+    return {
         "rule_count": report.rule_count,
         "mean_support": report.mean_support,
         "mean_confidence": report.mean_confidence,
         "mean_coverage": report.mean_coverage,
         "mean_zhang": report.mean_zhang,
         "data_coverage": report.data_coverage,
-        "rules": [],
     }
+
+
+def report_to_doc(report: RuleQualityReport, features: list[Feature]) -> dict:
+    doc = {**_aggregates(report), "rules": []}
     for stats in report.per_rule:
         entry = rule_to_doc(stats.rule, features)
         entry.update(
@@ -236,6 +241,27 @@ def report_to_doc(report: RuleQualityReport, features: list[Feature]) -> dict:
         )
         doc["rules"].append(entry)
     return doc
+
+
+def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) -> str:
+    """The report, with ``extra`` top-level keys, byte for byte as
+    ``json.dumps({**report_to_doc(report, features), **extra}, indent=2,
+    sort_keys=True)`` writes it; the rules array comes from the specialised
+    writer ``rules_array_json``."""
+    rules = object()
+    doc = {**_aggregates(report), "rules": rules, **extra}
+    fields = []
+    for key, value in sorted(doc.items()):
+        if value is rules:
+            rows = (
+                (s.rule, s.confidence, s.rule_coverage, s.support, s.zhang)
+                for s in report.per_rule
+            )
+            text = rules_array_json(rows, features, depth=1)
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def format_report(report: RuleQualityReport, features: list[Feature], max_rules: int = 50) -> str:

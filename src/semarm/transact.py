@@ -232,10 +232,10 @@ class Discretization:
     assignment: list[int]
 
 
-def _format_bound(value: float) -> str:
+def _format_bound(value: float, exact: bool = False) -> str:
     if float(value).is_integer():
         return str(int(value))
-    return f"{value:.12g}"
+    return repr(value) if exact else f"{value:.12g}"
 
 
 def discretize_equal_frequency(values, intervals: int) -> Discretization:
@@ -244,7 +244,8 @@ def discretize_equal_frequency(values, intervals: int) -> Discretization:
     Interior edges sit at the sorted-order indices ceil(k*n/intervals) for
     k = 1..intervals-1; a value equal to an edge goes to the lower bin.
     Duplicate-heavy or constant columns collapse to fewer classes (down to a
-    single class) instead of erroring.
+    single class) instead of erroring. Labels print bounds to 12 significant
+    digits, or exactly (``repr``) in a column where that would repeat a label.
     """
     values = np.fromiter(values, dtype=np.float64)
     if intervals < 1:
@@ -266,6 +267,13 @@ def discretize_equal_frequency(values, intervals: int) -> Discretization:
     lows = ordered[np.r_[0, ends[:-1]]].tolist()
     highs = ordered[ends - 1].tolist()
     labels = [f"{_format_bound(lo)}-{_format_bound(hi)}" for lo, hi in zip(lows, highs)]
+    if len(set(labels)) < len(labels):
+        # bounds that agree to 12 significant digits: exact labels, distinct
+        # because bins are disjoint
+        labels = [
+            f"{_format_bound(lo, exact=True)}-{_format_bound(hi, exact=True)}"
+            for lo, hi in zip(lows, highs)
+        ]
     return Discretization(highs[:-1], labels, assignment.tolist())
 
 

@@ -1,10 +1,13 @@
-"""Shared fixtures: a small water-network graph and random-table builders."""
+"""Shared fixtures: a small water-network graph, random-table builders and
+hypothesis strategies for rule lists."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from semarm.extract import Item, Rule
 from semarm.transact import Feature, TransactionTable
 
 WATER_GRAPH = {
@@ -44,3 +47,39 @@ def make_random_table(rng, max_features=8, max_classes=4, max_rows=60) -> Transa
         )
         columns.append(rng.integers(0, n_classes, size=n_rows))
     return TransactionTable(features, np.column_stack(columns))
+
+
+# names that JSON must escape: quotes, backslashes, control characters, non-ASCII
+JSON_TEXT = st.text(
+    st.sampled_from('a"\\/\n\t\x00\x1f\x7fé漢😀 ') | st.characters(), max_size=6
+)
+JSON_NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 1e-07, 0.1 + 0.2, 1.0, 0.0, 2**53 + 1, -(10**30)]),
+    st.floats(),
+    st.integers(),
+)
+
+
+@st.composite
+def rule_lists(draw):
+    """(features, rules): 4-6 features with escaped names and class values,
+    0-12 rules with 1-3 antecedent items and metrics that may be None."""
+    metric = JSON_NUMBERS | st.none()
+    names = draw(st.lists(JSON_TEXT, min_size=4, max_size=6, unique=True))
+    class_values = st.lists(JSON_TEXT, min_size=1, max_size=3, unique=True)
+    features = [Feature(name, "categorical", draw(class_values)) for name in names]
+
+    def item(f):
+        return Item(f, draw(st.integers(0, len(features[f].class_values) - 1)))
+
+    rules = []
+    for _ in range(draw(st.integers(0, 12))):
+        chosen = draw(st.permutations(range(len(features))))[: draw(st.integers(2, 4))]
+        rules.append(Rule(
+            frozenset(item(f) for f in chosen[1:]),
+            item(chosen[0]),
+            support=draw(metric),
+            confidence=draw(metric),
+            zhang=draw(metric),
+        ))
+    return features, rules

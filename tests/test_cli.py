@@ -6,7 +6,8 @@ import pytest
 
 from semarm import autonet, baseline, quality
 from semarm.cli import main
-from semarm.extract import rules_from_json
+from semarm.extract import rule_to_doc, rules_from_json
+from semarm.graph import load_graph
 from semarm.transact import (
     Enrichment,
     Feature,
@@ -278,6 +279,45 @@ class TestBaseline:
     def test_missing_support_flag_is_usage_error(self, dataset, tmp_path):
         assert run("baseline", "--sensors", dataset / "sensors.csv",
                    "--out", tmp_path) == 2
+
+
+class TestOutputBytes:
+    def test_rules_and_reports_are_json_dumps_of_their_documents(self, tmp_path):
+        """Each rules and report file holds exactly the bytes of
+        json.dumps(indent=2, sort_keys=True) of its document, rebuilt from
+        the reloaded rules and a fresh evaluation."""
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("synth", "--out", data, "--rows", 150, "--features", 3, "--classes", 3,
+                   "--seed", 1, "--planted", PLANTED) == 0
+        ingest = ["--sensors", data / "sensors.csv", "--graph", data / "graph.json",
+                  "--enrich", "--depth", 1, "--out", out]
+        assert run("train", *ingest, "--seed", 4) == 0
+        assert run("mine", *ingest, "--model", out / "model.json") == 0
+        assert run("baseline", *ingest, "--min-support", 0.05) == 0
+
+        graph, _, binding = load_graph((data / "graph.json").read_text())
+        series = aggregate(load_sensor_csv((data / "sensors.csv").read_text()), 60)
+        table = build_transactions(series, Enrichment(graph, binding, depth=1))
+        features = table.features
+        assert any(len(f.class_values) == 1 for f in features)
+
+        def reference(doc):
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+        outputs = (
+            ("rules.json", "report.json", ["timings"]),
+            ("baseline_rules.json", "baseline_report.json", ["min_support", "timings"]),
+        )
+        for rules_name, report_name, extra_keys in outputs:
+            rules_text = (out / rules_name).read_text()
+            rules = rules_from_json(rules_text, features)
+            assert rules_text == reference([rule_to_doc(r, features) for r in rules])
+            report_text = (out / report_name).read_text()
+            written = json.loads(report_text)
+            extra = {key: written[key] for key in extra_keys}
+            report = quality.evaluate(rules, table)
+            assert report.rule_count > 0
+            assert report_text == reference({**quality.report_to_doc(report, features), **extra})
 
 
 class TestCompare:

@@ -1,7 +1,9 @@
+import json
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from semarm.autonet import TrainingConfig, train
 from semarm.extract import (
@@ -12,11 +14,15 @@ from semarm.extract import (
     equal_prob_vector,
     extract_rules,
     generate_test_vectors,
+    rule_from_doc,
+    rule_to_doc,
     rules_from_json,
     rules_to_json,
 )
 from semarm.synth import PlantedRule, SyntheticSpec, spec_to_table
 from semarm.transact import Feature, GroupLayout, one_hot_encode
+
+from conftest import rule_lists
 
 
 class StubNet:
@@ -290,3 +296,30 @@ class TestRuleModel:
         ]
         rule = Rule(frozenset({Item(0, 1)}), Item(1, 0))
         assert rule.render(features) == "s1=b -> s2=c"
+
+    def test_rule_from_doc_rejects_unknown_class(self):
+        features = [Feature("s1", "categorical", ["a"]), Feature("s2", "categorical", ["b"])]
+        doc = {"antecedent": [{"feature": "s1", "class": "z"}],
+               "consequent": {"feature": "s2", "class": "b"}}
+        with pytest.raises(ValueError, match="unknown feature or class"):
+            rule_from_doc(doc, features)
+
+
+class TestRulesJsonWriter:
+    @given(rule_lists())
+    @example(([], []))
+    @settings(max_examples=120, deadline=None)
+    def test_bytes_equal_json_dumps_of_the_documents(self, drawn):
+        features, rules = drawn
+        expected = json.dumps([rule_to_doc(r, features) for r in rules], indent=2, sort_keys=True)
+        assert rules_to_json(rules, features) == expected
+
+    @given(rule_lists())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip(self, drawn):
+        features, rules = drawn
+        parsed = rules_from_json(rules_to_json(rules, features), features)
+        assert parsed == rules
+        for got, rule in zip(parsed, rules):
+            for key in ("support", "confidence", "zhang"):
+                assert json.dumps(getattr(got, key)) == json.dumps(getattr(rule, key))

@@ -1,14 +1,21 @@
+import json
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semarm.extract import Item, Rule
 from semarm.quality import (
     REPORT_SCHEMA,
+    RuleQualityReport,
+    RuleStats,
     annotate_rules,
     confidence,
     data_coverage,
     evaluate,
     format_report,
     report_to_doc,
+    report_to_json,
     rule_counts,
     rule_coverage,
     support,
@@ -16,7 +23,7 @@ from semarm.quality import (
 )
 from semarm.transact import Feature, TransactionTable
 
-from conftest import make_random_table
+from conftest import JSON_NUMBERS, JSON_TEXT, make_random_table, rule_lists
 
 
 # --- independent row-scan oracles: pure-python loops over rendered rows ---
@@ -356,3 +363,46 @@ class TestCountingKernel:
             assert report.mean_zhang == sum(columns["zhang"]) / count
             assert report.data_coverage == data_coverage(rules, table)
             assert report.data_coverage == oracle_data_coverage(rules, table)
+
+
+@st.composite
+def reports(draw):
+    """(report, features, extra): a report over drawn rules with drawn
+    metrics, and extra top-level keys like the CLI's."""
+    features, rules = draw(rule_lists())
+    per_rule = [RuleStats(rule, *(draw(JSON_NUMBERS) for _ in range(4))) for rule in rules]
+    report = RuleQualityReport(per_rule, len(per_rule), *(draw(JSON_NUMBERS) for _ in range(5)))
+    extra = draw(st.fixed_dictionaries({}, optional={
+        "min_support": JSON_NUMBERS,
+        "timings": st.dictionaries(
+            JSON_TEXT, JSON_NUMBERS | st.dictionaries(JSON_TEXT, JSON_NUMBERS, max_size=2),
+            max_size=3,
+        ),
+    }))
+    return report, features, extra
+
+
+class TestReportJsonWriter:
+    @given(reports())
+    @settings(max_examples=80, deadline=None)
+    def test_bytes_equal_json_dumps_of_the_document(self, drawn):
+        report, features, extra = drawn
+        doc = {**report_to_doc(report, features), **extra}
+        expected = json.dumps(doc, indent=2, sort_keys=True)
+        assert report_to_json(report, features, **extra) == expected
+
+    def test_evaluated_report(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            table = kernel_table(rng)
+            report = evaluate(kernel_rules(rng, table), table)
+            extra = {"min_support": 0.05, "timings": {"mine_seconds": 0.25}}
+            expected = json.dumps({**report_to_doc(report, table.features), **extra},
+                                  indent=2, sort_keys=True)
+            assert report_to_json(report, table.features, **extra) == expected
+
+    def test_extra_keys_override_as_in_a_dict_merge(self):
+        report = evaluate([], table_from_rows([[0, 0]]))
+        expected = json.dumps({**report_to_doc(report, []), "rules": {"a": [1]}, "rule_count": -1},
+                              indent=2, sort_keys=True)
+        assert report_to_json(report, [], rules={"a": [1]}, rule_count=-1) == expected

@@ -116,6 +116,25 @@ class TestDiscretize:
         assert disc.assignment == [0, 0, 0, 1, 1, 1]
         assert disc.labels == ["1-1", "2-4"]
 
+    def test_bounds_equal_to_twelve_digits_get_exact_labels(self):
+        table = build_transactions(SensorSeries({("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3}),
+                                   intervals=2)
+        assert table.features[0].class_values == [
+            "0.3-0.3", "0.30000000000000004-0.30000000000000004"
+        ]
+        assert table.rows.tolist() == [[1], [0]]
+
+    def test_exact_labels_only_in_the_colliding_column(self):
+        readings = {("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3, ("s", 120.0): 2.5}
+        readings.update({("t", 0.0): 0.1, ("t", 60.0): 0.25, ("t", 120.0): 1 / 3})
+        table = build_transactions(SensorSeries(readings), intervals=3)
+        assert table.features[0].class_values == [
+            "0.3-0.3", "0.30000000000000004-0.30000000000000004", "2.5-2.5"
+        ]
+        assert table.features[1].class_values == [
+            "0.1-0.1", "0.25-0.25", "0.333333333333-0.333333333333"
+        ]
+
     def test_thousand_normal_samples_balance(self):
         rng = np.random.default_rng(0)
         values = list(rng.normal(size=1000))
@@ -329,12 +348,19 @@ def oracle_discretize(values, intervals):
         lows[b] = min(v, lows.get(b, v))
         highs[b] = max(v, highs.get(b, v))
     labels = [f"{_format(lows[b])}-{_format(highs[b])}" for b in range(len(occupied))]
+    if len(set(labels)) < len(labels):
+        labels = [
+            f"{_format(lows[b], exact=True)}-{_format(highs[b], exact=True)}"
+            for b in range(len(occupied))
+        ]
     final_edges = [highs[b] for b in range(len(occupied) - 1)]
     return final_edges, labels, assignment
 
 
-def _format(value):
-    return str(int(value)) if float(value).is_integer() else f"{value:.12g}"
+def _format(value, exact=False):
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(value) if exact else f"{value:.12g}"
 
 
 def oracle_build_transactions(series, enrichment=None, intervals=10):
