@@ -7,7 +7,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semarm.graph import load_graph
@@ -304,6 +304,8 @@ class TestOneHot:
 
 
 def oracle_aggregate(series: SensorSeries, window: float) -> SensorSeries:
+    if not series.readings:
+        raise ValueError("cannot aggregate an empty series")
     buckets: dict[str, dict[float, list]] = {}
     for (sensor, ts), value in series.readings.items():
         start = math.floor(ts / window) * window
@@ -364,6 +366,8 @@ def _format(value, exact=False):
 
 
 def oracle_build_transactions(series, enrichment=None, intervals=10):
+    if not series.readings:
+        raise ValueError("empty series")
     sensors = series.sensors
     windows = sorted({ts for _, ts in series.readings})
     for sensor in sensors:
@@ -452,9 +456,15 @@ def raw_series(draw, names=("s1", "s2", "s3", "t4")):
 
 class TestColumnarMatchesOracle:
     @given(raw_series())
+    @example((SensorSeries({}), 60.0))  # every sensor missed every window
     @settings(max_examples=150, deadline=None)
     def test_aggregate(self, drawn):
         series, window = drawn
+        if not series.readings:
+            for agg in (aggregate, oracle_aggregate):
+                with pytest.raises(ValueError, match="cannot aggregate an empty series"):
+                    agg(series, window)
+            return
         expected = oracle_aggregate(series, window)
         if not expected.readings:
             with pytest.raises(ValueError, match=f"no {window:g}-second window"):
@@ -463,10 +473,12 @@ class TestColumnarMatchesOracle:
             assert exact_items(aggregate(series, window)) == exact_items(expected)
 
     @given(raw_series(), st.integers(1, 12), st.sampled_from([None, 0, 1, 2]), st.booleans())
+    @example((SensorSeries({}), 60.0), 1, None, False)
+    @example((SensorSeries({}), 60.0), 1, None, True)
     @settings(max_examples=150, deadline=None)
     def test_build_transactions(self, drawn, intervals, depth, pre_aggregate):
         series, window = drawn
-        if pre_aggregate:
+        if pre_aggregate and series.readings:
             series = oracle_aggregate(series, window)
             if not series.readings:
                 return
