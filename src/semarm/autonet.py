@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class TrainingConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "noise_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -134,11 +137,13 @@ class TrainedAutoencoder:
             raise ValueError(f"expected input of length {self.shape.input_dim}")
         if not np.isfinite(x).all():
             raise ValueError("input contains non-finite values")
-        return _forward_batch(self.weights, self.biases, self.shape.group_layout, x[None, :])[0]
+        return _activations(self.weights, self.biases, self.shape.group_layout, x[None, :])[1][0]
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float64)
-        return _forward_batch(self.weights, self.biases, self.shape.group_layout, batch)
+        if batch.ndim != 2 or batch.shape[1] != self.shape.input_dim:
+            raise ValueError("batch width does not match the network input")
+        return _activations(self.weights, self.biases, self.shape.group_layout, batch)[1]
 
 
 def _group_softmax(z: np.ndarray, layout: GroupLayout) -> np.ndarray:
@@ -156,12 +161,6 @@ def _activations(weights, biases, layout, batch):
         acts.append(np.tanh(acts[-1] @ weights[layer] + biases[layer]))
     out = _group_softmax(acts[-1] @ weights[5] + biases[5], layout)
     return acts, out
-
-
-def _forward_batch(weights, biases, layout, batch):
-    if batch.ndim != 2 or batch.shape[1] != layout.width:
-        raise ValueError("batch width does not match the network input")
-    return _activations(weights, biases, layout, batch)[1]
 
 
 def bce_loss(reconstruction, clean_target) -> float:
@@ -216,20 +215,24 @@ def loss_gradients(net: TrainedAutoencoder, inputs, targets):
     return _loss_and_grads(net.weights, net.biases, net.shape.group_layout, inputs, targets)
 
 
-def initialize_network(
-    shape: NetworkShape,
-    seed: int,
-    config: TrainingConfig | None = None,
-) -> TrainedAutoencoder:
-    """Untrained network with uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights
-    and zero biases, drawn from a generator seeded with ``seed``."""
-    rng = np.random.default_rng(seed)
+def _initial_parameters(shape: NetworkShape, rng: np.random.Generator):
+    """uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights and zero biases."""
     dims = shape.layer_dims
     weights, biases = [], []
     for i in range(6):
         bound = 1.0 / math.sqrt(dims[i])
         weights.append(rng.uniform(-bound, bound, size=(dims[i], dims[i + 1])))
         biases.append(np.zeros(dims[i + 1]))
+    return weights, biases
+
+
+def initialize_network(
+    shape: NetworkShape,
+    seed: int,
+    config: TrainingConfig | None = None,
+) -> TrainedAutoencoder:
+    """Untrained network, initialised from a generator seeded with ``seed``."""
+    weights, biases = _initial_parameters(shape, np.random.default_rng(seed))
     cfg = config if config is not None else TrainingConfig(rng_seed=seed)
     return TrainedAutoencoder(shape, weights, biases, cfg, seed)
 
@@ -257,12 +260,7 @@ def train(
         raise ValueError("network layout does not match the encoded matrix")
 
     rng = np.random.default_rng(config.rng_seed)
-    dims = shape.layer_dims
-    weights, biases = [], []
-    for i in range(6):
-        bound = 1.0 / math.sqrt(dims[i])
-        weights.append(rng.uniform(-bound, bound, size=(dims[i], dims[i + 1])))
-        biases.append(np.zeros(dims[i + 1]))
+    weights, biases = _initial_parameters(shape, rng)
 
     m_w = [np.zeros_like(w) for w in weights]
     v_w = [np.zeros_like(w) for w in weights]
@@ -310,14 +308,7 @@ def model_to_doc(net: TrainedAutoencoder) -> dict:
         "encoder_dims": list(net.shape.encoder_dims),
         "decoder_dims": list(net.shape.decoder_dims),
         "class_counts": list(net.shape.group_layout.class_counts),
-        "config": {
-            "learning_rate": net.config.learning_rate,
-            "epochs": net.config.epochs,
-            "weight_decay": net.config.weight_decay,
-            "noise_factor": net.config.noise_factor,
-            "batch_size": net.config.batch_size,
-            "rng_seed": net.config.rng_seed,
-        },
+        "config": asdict(net.config),
         "rng_seed": net.rng_seed,
         "final_loss": net.final_loss,
         "weights": [w.tolist() for w in net.weights],

@@ -14,8 +14,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .extract import Item, Rule
+from .quality import _popcount, _slot_bits, rule_counts, rule_metrics
 from .quality import confidence as _confidence
-from .quality import rule_counts, rule_metrics
 from .quality import support as _support
 from .quality import zhang as _zhang
 from .transact import TransactionTable
@@ -37,15 +37,6 @@ class FrequentItemset:
     support: float
 
 
-def _item_masks(table: TransactionTable) -> dict[Item, np.ndarray]:
-    masks = {}
-    for feature in range(table.n_features):
-        column = table.rows[:, feature]
-        for cls in range(len(table.features[feature].class_values)):
-            masks[Item(feature, cls)] = column == cls
-    return masks
-
-
 def _canonical(items) -> tuple[Item, ...]:
     return tuple(sorted(items))
 
@@ -57,8 +48,9 @@ def mine_frequent(
 ) -> list[FrequentItemset]:
     """All itemsets (one item per feature) with support >= min_support.
 
-    Level-wise candidate growth with downward-closure pruning; supports are
-    exact counts divided by the row count. ``max_size`` caps the itemset
+    Level-wise candidate growth with downward-closure pruning over the
+    per-item row bitsets that ``quality`` counts rules on; supports are exact
+    counts divided by the row count. ``max_size`` caps the itemset
     cardinality (rule derivation only ever needs antecedents + 1); the
     default enumerates every frequent itemset.
     """
@@ -69,14 +61,16 @@ def mine_frequent(
     n = table.n_rows
     if n == 0:
         return []
-    masks = _item_masks(table)
+    bits = _slot_bits(table)
+    items = [Item(f, c) for f, k in enumerate(table.layout().class_counts) for c in range(k)]
+    item_bits = dict(zip(items, bits))
 
     result: list[FrequentItemset] = []
     level: dict[tuple[Item, ...], np.ndarray] = {}
-    for item, mask in sorted(masks.items()):
-        sup = int(mask.sum()) / n
+    for item, row_bits, count in zip(items, bits, _popcount(bits).tolist()):
+        sup = count / n
         if sup >= min_support:
-            level[(item,)] = mask
+            level[(item,)] = row_bits
             result.append(FrequentItemset(frozenset((item,)), sup))
 
     size = 1
@@ -98,10 +92,10 @@ def mine_frequent(
                     for item in candidate
                 ):
                     continue
-                mask = level[left] & masks[last]
-                sup = int(mask.sum()) / n
+                row_bits = level[left] & item_bits[last]
+                sup = int(_popcount(row_bits)) / n
                 if sup >= min_support:
-                    next_level[candidate] = mask
+                    next_level[candidate] = row_bits
                     result.append(FrequentItemset(frozenset(candidate), sup))
         level = next_level
     return result

@@ -148,9 +148,12 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _load_series(path) -> transact.SensorSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        return transact.load_sensor_csv(fh)
+def _write_outputs(out: Path, prefix: str, rules, report, features, **extra):
+    """One route's rules, report (``extra`` as top-level keys) and text report."""
+    _write_text(out / f"{prefix}rules.json", extract.rules_to_json(rules, features) + "\n")
+    report_json = quality.report_to_json(report, features, **extra)
+    _write_text(out / f"{prefix}report.json", report_json + "\n")
+    _write_text(out / f"{prefix}report.txt", quality.format_report(report, features))
 
 
 def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
@@ -186,8 +189,8 @@ def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
 
 def _build_table(settings, keep_sensors=None):
     """Shared ingestion path: CSV -> aggregate -> (optional) enrich -> table."""
-    sensors_path = settings.get("sensors", required=True)
-    series = _load_series(sensors_path)
+    with open(settings.get("sensors", required=True), "r", encoding="utf-8") as fh:
+        series = transact.load_sensor_csv(fh)
     window = float(settings.get("window-seconds", 60.0))
     intervals = int(settings.get("intervals", transact.DEFAULT_INTERVALS))
     enrich = bool(settings.get("enrich", False))
@@ -337,7 +340,10 @@ def cmd_mine(settings) -> int:
     mark_raw = settings.get("mark-features")
     if mark_raw:
         names = [n.strip() for n in str(mark_raw).split(",") if n.strip()]
-        markable = frozenset(table.feature_index(name) for name in names)
+        try:
+            markable = frozenset(table.feature_index(name) for name in names)
+        except KeyError as exc:
+            raise ValueError(f"--mark-features: unknown feature {exc}") from exc
     config = extract.ExtractionConfig(
         similarity_threshold=float(settings.get("similarity-threshold", 0.8)),
         max_antecedents=int(settings.get("max-antecedents", 2)),
@@ -350,12 +356,8 @@ def cmd_mine(settings) -> int:
     annotated = [stats.rule for stats in report.per_rule]
 
     out = _out_dir(settings)
-    _write_text(out / "rules.json", extract.rules_to_json(annotated, table.features) + "\n")
-    report_json = quality.report_to_json(
-        report, table.features, timings={"extract_seconds": extract_seconds}
-    )
-    _write_text(out / "report.json", report_json + "\n")
-    _write_text(out / "report.txt", quality.format_report(report, table.features))
+    _write_outputs(out, "", annotated, report, table.features,
+                   timings={"extract_seconds": extract_seconds})
     print(f"wrote {out / 'rules.json'} ({report.rule_count} rules, "
           f"data coverage {report.data_coverage:.2f})")
     return EXIT_OK
@@ -388,12 +390,8 @@ def cmd_baseline(settings) -> int:
     report = quality.evaluate(rules, table)
 
     out = _out_dir(settings)
-    _write_text(out / "baseline_rules.json", extract.rules_to_json(rules, table.features) + "\n")
-    report_json = quality.report_to_json(
-        report, table.features, min_support=min_support, timings={"mine_seconds": mine_seconds}
-    )
-    _write_text(out / "baseline_report.json", report_json + "\n")
-    _write_text(out / "baseline_report.txt", quality.format_report(report, table.features))
+    _write_outputs(out, "baseline_", rules, report, table.features,
+                   min_support=min_support, timings={"mine_seconds": mine_seconds})
     print(f"wrote {out / 'baseline_rules.json'} ({report.rule_count} rules "
           f"at min support {min_support:.4f})")
     return EXIT_OK

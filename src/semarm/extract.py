@@ -163,9 +163,9 @@ def extract_rules(net, config: ExtractionConfig) -> list[Rule]:
     For each subset of 1..max_antecedents features and each marked vector, the
     network output must reach the threshold at every marked slot (>=); then
     every unmarked feature whose argmax class output strictly exceeds the
-    threshold yields a rule with the marked items as antecedent. Output is
-    deduplicated and deterministically ordered by subset, class combination,
-    and consequent feature.
+    threshold yields a rule with the marked items as antecedent. Each vector
+    is probed once, so no rule repeats. Output is ordered by subset, class
+    combination, and consequent feature.
     """
     layout: GroupLayout = net.shape.group_layout
     n_features = layout.n_features
@@ -178,7 +178,6 @@ def extract_rules(net, config: ExtractionConfig) -> list[Rule]:
 
     tau = config.similarity_threshold
     rules: list[Rule] = []
-    seen: set[tuple[frozenset[Item], Item]] = set()
     for size in range(1, min(config.max_antecedents, len(markable)) + 1):
         for subset in combinations(markable, size):
             marked_set = set(subset)
@@ -193,10 +192,7 @@ def extract_rules(net, config: ExtractionConfig) -> list[Rule]:
                     block = out[layout.group_slice(feat)]
                     best = int(np.argmax(block))
                     if block[best] > tau:
-                        key = (antecedent, Item(feat, best))
-                        if key not in seen:
-                            seen.add(key)
-                            rules.append(Rule(antecedent, Item(feat, best)))
+                        rules.append(Rule(antecedent, Item(feat, best)))
     return rules
 
 

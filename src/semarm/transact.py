@@ -176,8 +176,8 @@ def aggregate(series: SensorSeries, window: float) -> SensorSeries:
     """
     if not series.readings:
         raise ValueError("cannot aggregate an empty series")
-    if window <= 0:
-        raise ValueError("window must be positive")
+    if not (window > 0 and math.isfinite(window)):
+        raise ValueError("window must be positive and finite")
     sensors, sensor, ts = _key_columns(series)
     raw = list(series.readings.values())
     n = len(raw)
@@ -389,7 +389,6 @@ class Enrichment:
     graph: PropertyGraph
     binding: Binding
     depth: int = 1
-    include_edge_props: bool = False
 
 
 @dataclass(eq=False)
@@ -431,7 +430,6 @@ def _semantic_features(sensor: str, enrichment: Enrichment) -> list[tuple[str, o
         enrichment.binding,
         sensor,
         neighbor_depth=enrichment.depth,
-        include_edge_props=enrichment.include_edge_props,
     )
     type_items = [(name, value) for name, value in items if name == "self.type"]
     rest = [(name, value) for name, value in items if name != "self.type"]

@@ -72,6 +72,12 @@ class TestMineFrequent:
             min_support = float(rng.choice([0.1, 0.25, 0.5]))
             mined = set(mine_frequent(table, min_support))
             assert mined == powerset_itemsets_oracle(table, min_support)
+        # row counts at and across the 64-row word boundary of the row bitsets
+        for n_rows in (64, 65, 130):
+            table = table_from_rows(rng.integers(0, 3, size=(n_rows, 4)))
+            for min_support in (0.02, 0.2):
+                mined = set(mine_frequent(table, min_support))
+                assert mined == powerset_itemsets_oracle(table, min_support)
 
     def test_downward_closure(self):
         rng = np.random.default_rng(13)

@@ -150,7 +150,51 @@ class TestMalformedCsv:
         assert "window" in err
 
 
+@pytest.fixture
+def small_csv(tmp_path):
+    """Two categorical sensors over six windows: a (2, 3)-slot table that trains."""
+    lines = ["timestamp,sensor_id,value"]
+    for w, s2 in enumerate("cdecce"):
+        lines += [f'{w * 60},s1,"{"ab"[w % 2]}"', f'{w * 60},s2,"{s2}"']
+    path = tmp_path / "sensors.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def single_data_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--weight-decay", "--noise-factor"])
+    def test_training_option_is_data_error(self, small_csv, tmp_path, capsys, flag, value):
+        code = run("train", "--sensors", small_csv, "--out", tmp_path / "run",
+                   "--epochs", 1, flag, value)
+        assert code == 3
+        assert flag[2:].replace("-", "_") in single_data_error(capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_window_is_data_error(self, small_csv, tmp_path, capsys, value):
+        code = run("train", "--sensors", small_csv, "--out", tmp_path / "run",
+                   "--window-seconds", value)
+        assert code == 3
+        assert capsys.readouterr().err == "error: data: window must be positive and finite\n"
+
+
 class TestMine:
+    def test_unknown_mark_feature_is_named(self, small_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--sensors", small_csv, "--out", out, "--epochs", 1) == 0
+        capsys.readouterr()
+        code = run("mine", "--sensors", small_csv, "--model", out / "model.json",
+                   "--out", out, "--mark-features", "s1,nosuch")
+        assert code == 3
+        err = single_data_error(capsys)
+        assert "--mark-features" in err and "'nosuch'" in err
+
     def test_planted_rules_recovered(self, dataset, trained, capsys):
         assert run("mine", "--sensors", dataset / "sensors.csv",
                    "--graph", dataset / "graph.json",

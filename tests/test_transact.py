@@ -87,8 +87,9 @@ class TestAggregate:
             aggregate(SensorSeries({}), 60.0)
 
     def test_nonpositive_window_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate(SensorSeries({("s1", 0.0): 1.0}), 0.0)
+        for window in (0.0, -60.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="window must be positive and finite"):
+                aggregate(SensorSeries({("s1", 0.0): 1.0}), window)
 
 
 def brute_force_bin_counts(values, assignment):
