@@ -208,11 +208,8 @@ def _build_table(settings, keep_sensors=None):
             raise ValueError("--sample-sensors needs --graph")
         keep_sensors = _sample_sensor_walk(graph, binding, int(sample), int(settings.get("seed", 0)))
     if keep_sensors is not None:
-        keep = set(keep_sensors)
-        series = transact.SensorSeries(
-            {key: v for key, v in series.readings.items() if key[0] in keep}
-        )
-        if not series.readings:
+        series = series.select(keep_sensors)
+        if not series.timestamps.size:
             raise ValueError("sensor selection removed every reading")
 
     aggregated = transact.aggregate(series, window)

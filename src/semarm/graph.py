@@ -38,6 +38,9 @@ class GraphIntegrityError(ValueError):
 class UnboundSensorError(KeyError):
     """A sensor id has no entry in the binding."""
 
+    def __str__(self):
+        return f"sensor {self.args[0]!r} has no binding in the graph"
+
 
 @dataclass
 class Ontology:
@@ -127,6 +130,28 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind: type, context: str):
+    if not isinstance(value, kind):
+        raise GraphFormatError(f"{context} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _strings(value, context: str) -> list[str]:
+    for item in _typed(value, list, context):
+        _typed(item, str, f"{context} entry {item!r}")
+    return value
+
+
+def _props(value, context: str) -> dict[str, object]:
+    for key, prop in _typed(value, dict, context).items():
+        if not isinstance(prop, (str, int, float)):
+            raise GraphFormatError(f"{context} {key!r} must be a string, number or boolean")
+    return dict(value)
+
+
 def load_graph(source) -> tuple[PropertyGraph, Ontology, Binding]:
     """Parse a graph JSON document into (graph, ontology, binding).
 
@@ -145,17 +170,25 @@ def load_graph(source) -> tuple[PropertyGraph, Ontology, Binding]:
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
 
-    onto_doc = _require(doc, "ontology", "graph document")
+    onto_doc = _typed(_require(doc, "ontology", "graph document"), dict, "ontology")
+    relations = _typed(_require(onto_doc, "relations", "ontology"), list, "ontology relations")
+    for index, relation in enumerate(relations):
+        context = f"ontology relation {index}"
+        _typed(relation, dict, context)
+        _typed(_require(relation, "name", context), str, f"{context} name")
+        for end in ("from", "to"):  # a missing or empty endpoint: no signature
+            _typed(relation.get(end) or "", str, f"{context} {end!r}")
+    owned = _typed(onto_doc.get("owned", {}), dict, "ontology owned")
     ontology = Ontology(
-        classes=set(_require(onto_doc, "classes", "ontology")),
-        relations={r["name"] for r in _require(onto_doc, "relations", "ontology")},
-        properties=set(_require(onto_doc, "properties", "ontology")),
+        classes=set(_strings(_require(onto_doc, "classes", "ontology"), "ontology classes")),
+        relations={r["name"] for r in relations},
+        properties=set(
+            _strings(_require(onto_doc, "properties", "ontology"), "ontology properties")
+        ),
         relation_signature={
-            r["name"]: (r["from"], r["to"])
-            for r in onto_doc["relations"]
-            if r.get("from") and r.get("to")
+            r["name"]: (r["from"], r["to"]) for r in relations if r.get("from") and r.get("to")
         },
-        owned_properties={k: set(v) for k, v in onto_doc.get("owned", {}).items()},
+        owned_properties={k: set(_strings(v, f"ontology owned {k!r}")) for k, v in owned.items()},
     )
     try:
         ontology.validate()
@@ -163,30 +196,36 @@ def load_graph(source) -> tuple[PropertyGraph, Ontology, Binding]:
         raise GraphFormatError(f"invalid ontology: {exc}") from exc
 
     graph = PropertyGraph()
-    for node in _require(doc, "nodes", "graph document"):
-        node_id = _require(node, "id", "node")
+    for index, node in enumerate(_typed(_require(doc, "nodes", "graph document"), list, "nodes")):
+        context = f"node {index}"
+        _typed(node, dict, context)
+        node_id = _typed(_require(node, "id", context), str, f"{context} id")
         if node_id in graph.node_ids:
             raise GraphIntegrityError(f"duplicate node id {node_id!r}")
         graph.node_ids.add(node_id)
-        graph.labels[node_id] = set(node.get("labels", []))
-        graph.properties[node_id] = dict(node.get("props", {}))
-    for edge in _require(doc, "edges", "graph document"):
-        edge_id = _require(edge, "id", "edge")
+        graph.labels[node_id] = set(_strings(node.get("labels", []), f"node {node_id!r} labels"))
+        graph.properties[node_id] = _props(node.get("props", {}), f"node {node_id!r} props")
+    for index, edge in enumerate(_typed(_require(doc, "edges", "graph document"), list, "edges")):
+        context = f"edge {index}"
+        _typed(edge, dict, context)
+        edge_id, src, dst = (
+            _typed(_require(edge, key, context), str, f"{context} {key!r}")
+            for key in ("id", "from", "to")
+        )
         if edge_id in graph.edge_ids or edge_id in graph.node_ids:
             raise GraphIntegrityError(f"duplicate id {edge_id!r}")
-        src, dst = _require(edge, "from", "edge"), _require(edge, "to", "edge")
         if src not in graph.node_ids:
             raise GraphIntegrityError(f"edge {edge_id!r} references missing node {src!r}")
         if dst not in graph.node_ids:
             raise GraphIntegrityError(f"edge {edge_id!r} references missing node {dst!r}")
         graph.edge_ids.add(edge_id)
         graph.edge_endpoints[edge_id] = (src, dst)
-        graph.labels[edge_id] = set(edge.get("labels", []))
-        graph.properties[edge_id] = dict(edge.get("props", {}))
+        graph.labels[edge_id] = set(_strings(edge.get("labels", []), f"edge {edge_id!r} labels"))
+        graph.properties[edge_id] = _props(edge.get("props", {}), f"edge {edge_id!r} props")
 
-    binding = Binding(dict(_require(doc, "bindings", "graph document")))
+    binding = Binding(dict(_typed(_require(doc, "bindings", "graph document"), dict, "bindings")))
     for sensor, node in binding.sensor_to_node.items():
-        if node not in graph.node_ids:
+        if _typed(node, str, f"binding for sensor {sensor!r}") not in graph.node_ids:
             raise GraphIntegrityError(
                 f"binding for sensor {sensor!r} references missing node {node!r}"
             )

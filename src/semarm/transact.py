@@ -8,7 +8,8 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate, repeat
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,32 +34,56 @@ __all__ = [
 DEFAULT_INTERVALS = 10
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SensorSeries:
-    """Raw or aggregated readings: (sensor_id, timestamp) -> value.
+    """Raw or aggregated readings as columns: reading i is sensor
+    ``sensors[sensor[i]]`` at ``timestamps[i]``, valued ``numbers[i]``, or
+    ``vocab[codes[i]]`` for a categorical (state) sensor; ``codes`` is -1 for
+    numeric readings, and ``sensors`` and ``vocab`` are sorted."""
 
-    Values are floats for measurement sensors and strings for categorical
-    (state) sensors; a given sensor must be consistently one or the other.
-    """
+    sensors: list[str]
+    sensor: np.ndarray  # int64
+    timestamps: np.ndarray  # float64
+    numbers: np.ndarray  # float64
+    codes: np.ndarray  # int64
+    vocab: list[str]
 
-    readings: dict[tuple[str, float], float | str]
-
-    def __post_init__(self):
-        kinds: dict[str, type] = {}
-        for (sensor, _), value in self.readings.items():
-            kind = str if isinstance(value, str) else float
-            if kinds.setdefault(sensor, kind) is not kind:
-                raise ValueError(f"sensor {sensor!r} mixes numeric and categorical values")
+    @classmethod
+    def from_readings(cls, readings: dict[tuple[str, float], float | str]) -> SensorSeries:
+        """Columns of a (sensor_id, timestamp) -> value mapping, in its order; a
+        sensor's values are all floats (measurements) or all strings (states)."""
+        names = [sensor for sensor, _ in readings]
+        sensors = sorted(set(names))
+        index = {s: i for i, s in enumerate(sensors)}
+        sensor = np.array([index[s] for s in names], dtype=np.int64)
+        raw = list(readings.values())
+        vocab = sorted(v for v in set(raw) if isinstance(v, str))
+        code = {v: i for i, v in enumerate(vocab)}
+        codes = np.array([code.get(v, -1) for v in raw], dtype=np.int64)
+        numeric = codes < 0
+        # each sensor's kind is that of its first reading; name the first reading against it
+        _, first = np.unique(sensor, return_index=True)
+        mixed = np.flatnonzero(numeric != numeric[first][sensor])
+        if mixed.size:
+            raise ValueError(f"sensor {names[mixed[0]]!r} mixes numeric and categorical values")
+        numbers = np.where(numeric, np.array(raw, dtype=object), 0.0).astype(np.float64)
+        timestamps = np.array([ts for _, ts in readings], dtype=np.float64)
+        return cls(sensors, sensor, timestamps, numbers, codes, vocab)
 
     @property
-    def sensors(self) -> list[str]:
-        return sorted({sensor for sensor, _ in self.readings})
+    def readings(self) -> MappingProxyType:
+        """Read-only (sensor_id, timestamp) -> value mapping, in column order."""
+        names = [self.sensors[i] for i in self.sensor.tolist()]
+        values = [self.vocab[c] if c >= 0 else x
+                  for c, x in zip(self.codes.tolist(), self.numbers.tolist())]
+        return MappingProxyType(dict(zip(zip(names, self.timestamps.tolist()), values)))
 
-    def is_numeric(self, sensor: str) -> bool:
-        for (s, _), value in self.readings.items():
-            if s == sensor:
-                return not isinstance(value, str)
-        raise KeyError(sensor)
+    def select(self, names) -> SensorSeries:
+        """The readings of the named sensors, in the same order."""
+        keep = np.isin(self.sensor, [i for i, s in enumerate(self.sensors) if s in names])
+        kept, sensor = np.unique(self.sensor[keep], return_inverse=True)
+        return SensorSeries([self.sensors[i] for i in kept.tolist()], sensor, self.timestamps[keep],
+                            self.numbers[keep], self.codes[keep], self.vocab)
 
 
 def _parse_timestamp(text: str) -> float:
@@ -120,16 +145,7 @@ def load_sensor_csv(source) -> SensorSeries:
                 if not math.isfinite(value):
                     raise ValueError(f"line {lineno}: non-finite value {raw!r}")
         readings[key] = value
-    return SensorSeries(readings)
-
-
-def _key_columns(series: SensorSeries):
-    """Sorted sensor names, plus each reading's index into them and its
-    timestamp, as arrays in reading order."""
-    names, stamps = zip(*series.readings)
-    sensors = sorted(set(names))
-    sensor_of = np.array(list(map({s: i for i, s in enumerate(sensors)}.__getitem__, names)))
-    return sensors, sensor_of, np.array(stamps, dtype=np.float64)
+    return SensorSeries.from_readings(readings)
 
 
 def _segment_means(values: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -174,48 +190,41 @@ def aggregate(series: SensorSeries, window: float) -> SensorSeries:
     The work is done column at a time: one lexsort by (sensor, window start,
     timestamp) makes each (sensor, window) cell a contiguous segment.
     """
-    if not series.readings:
+    if not series.timestamps.size:
         raise ValueError("cannot aggregate an empty series")
     if not (window > 0 and math.isfinite(window)):
         raise ValueError("window must be positive and finite")
-    sensors, sensor, ts = _key_columns(series)
-    raw = list(series.readings.values())
-    n = len(raw)
-    # categorical values become codes into their sorted vocabulary, numbers -1
-    vocab = sorted(v for v in set(raw) if isinstance(v, str))
-    value_code = {v: i for i, v in enumerate(vocab)}
-    codes = np.array(list(map(value_code.get, raw, repeat(-1))), dtype=np.int64)
-    numbers = np.zeros(n)
-    numeric_reading = codes < 0
-    numbers[numeric_reading] = np.array(raw, dtype=object)[numeric_reading].astype(np.float64)
+    with np.errstate(over="ignore"):
+        scaled = series.timestamps / window
+    if not np.isfinite(scaled).all():
+        raise ValueError(f"window of {window!r} seconds overflows the timestamps")
     # + 0.0 maps -0.0 to 0.0, as math.floor(ts / window) * window does
-    start = np.floor(ts / window) * window + 0.0
-    order = np.lexsort((ts, start, sensor))
-    sensor, start, codes, numbers = sensor[order], start[order], codes[order], numbers[order]
+    start = np.floor(scaled) * window + 0.0
+    order = np.lexsort((series.timestamps, start, series.sensor))
+    sensor, start = series.sensor[order], start[order]
+    codes, numbers = series.codes[order], series.numbers[order]
 
     first = np.flatnonzero(np.r_[True, (sensor[1:] != sensor[:-1]) | (start[1:] != start[:-1])])
-    lengths = np.diff(np.r_[first, n])
-    seg_sensor, seg_start = sensor[first], start[first]
+    lengths = np.diff(np.r_[first, len(order)])
     # each (sensor, window) is one segment: a window every sensor reports
     # is the start of len(sensors) segments
-    _, window_of, per_window = np.unique(seg_start, return_inverse=True, return_counts=True)
-    keep = per_window[window_of] == len(sensors)
+    _, window_of, per_window = np.unique(start[first], return_inverse=True, return_counts=True)
+    keep = per_window[window_of] == len(series.sensors)
     if not keep.any():
         raise ValueError(f"no {window:g}-second window in which every sensor reports")
 
-    categorical = codes[first] >= 0
-    values = np.empty(len(first), dtype=object)
+    modes = codes[first]
+    categorical = modes >= 0
+    means = np.zeros(len(first))
     numeric = np.flatnonzero(keep & ~categorical)
-    values[numeric] = _segment_means(numbers, first[numeric], lengths[numeric])
+    means[numeric] = _segment_means(numbers, first[numeric], lengths[numeric])
     modal = np.repeat(keep & categorical, lengths)
     if modal.any():
         segment = np.repeat(np.arange(len(first)), lengths)
-        seg, code = _segment_modes(codes[modal], segment[modal], len(vocab))
-        values[seg] = np.array(vocab, dtype=object)[code]
-
-    kept = np.flatnonzero(keep)
-    keys = zip(np.array(sensors, dtype=object)[seg_sensor[kept]].tolist(), seg_start[kept].tolist())
-    return SensorSeries(dict(zip(keys, values[kept].tolist())))
+        seg, code = _segment_modes(codes[modal], segment[modal], len(series.vocab))
+        modes[seg] = code
+    sensor, start = sensor[first[keep]], start[first[keep]]
+    return SensorSeries(series.sensors, sensor, start, means[keep], modes[keep], series.vocab)
 
 
 @dataclass
@@ -369,12 +378,6 @@ class TransactionTable:
     def layout(self) -> GroupLayout:
         return GroupLayout(tuple(len(f.class_values) for f in self.features))
 
-    def row_values(self, index: int) -> list[str]:
-        return [
-            feature.class_values[self.rows[index, col]]
-            for col, feature in enumerate(self.features)
-        ]
-
     def feature_index(self, name: str) -> int:
         for idx, feature in enumerate(self.features):
             if feature.name == name:
@@ -456,44 +459,42 @@ def build_transactions(
     item, numeric properties discretized by the same rule and categorical
     property values used verbatim.
     """
-    if not series.readings:
+    if not series.timestamps.size:
         raise ValueError("empty series")
-    sensors, sensor_of, ts = _key_columns(series)
-    windows, window_of = np.unique(ts, return_inverse=True)
+    windows, window_of = np.unique(series.timestamps, return_inverse=True)
     n = len(windows)
     # (sensor, timestamp) keys are unique, so a sensor with n readings has all n windows
-    short = np.flatnonzero(np.bincount(sensor_of, minlength=len(sensors)) != n)
+    short = np.flatnonzero(np.bincount(series.sensor, minlength=len(series.sensors)) != n)
     if short.size:
         raise ValueError(
-            f"series is not aggregated: sensor {sensors[short[0]]!r} misses some windows"
+            f"series is not aggregated: sensor {series.sensors[short[0]]!r} misses some windows"
         )
-    order = np.lexsort((window_of, sensor_of))
-    grid = np.array(list(series.readings.values()), dtype=object)[order].reshape(len(sensors), n)
+    # reading indexes, one row per sensor in window order
+    grid = np.lexsort((window_of, series.sensor)).reshape(len(series.sensors), n)
 
     features: list[Feature] = []
-    columns: list[list[int]] = []
+    columns: list = []
 
     def add_numeric(name: str, values):
         disc = discretize_equal_frequency(values, intervals)
         features.append(Feature(name, "numeric", disc.labels, disc.edges))
         columns.append(disc.assignment)
 
-    def add_categorical(name: str, values: list[str]):
-        classes = sorted(set(values))
-        index = {v: i for i, v in enumerate(classes)}
+    def add_categorical(name: str, classes: list[str], column):
         features.append(Feature(name, "categorical", classes))
-        columns.append([index[v] for v in values])
+        columns.append(column)
 
-    for sensor, row in zip(sensors, grid):
-        values = row.tolist()
-        if isinstance(values[0], str):
-            add_categorical(sensor, values)
+    for sensor, cells in zip(series.sensors, grid):
+        if series.codes[cells[0]] < 0:
+            add_numeric(sensor, series.numbers[cells])
         else:
-            add_numeric(sensor, values)
+            # vocab is sorted, so sorted codes give sorted class values
+            classes, column = np.unique(series.codes[cells], return_inverse=True)
+            add_categorical(sensor, [series.vocab[c] for c in classes.tolist()], column)
         if enrichment is not None:
             for name, raw in _semantic_features(sensor, enrichment):
                 if isinstance(raw, bool) or isinstance(raw, str):
-                    add_categorical(name, [str(raw)] * n)
+                    add_categorical(name, [str(raw)], np.zeros(n, dtype=np.int64))
                 else:
                     add_numeric(name, np.full(n, float(raw)))
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -16,6 +17,8 @@ from semarm.transact import (
     build_transactions,
     load_sensor_csv,
 )
+
+from conftest import WATER_GRAPH
 
 PLANTED = json.dumps(
     [
@@ -176,12 +179,45 @@ class TestNonFiniteOptions:
         assert code == 3
         assert flag[2:].replace("-", "_") in single_data_error(capsys)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_window_is_data_error(self, small_csv, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "window must be positive and finite"),
+        ("inf", "window must be positive and finite"),
+        ("5e-324", "window of 5e-324 seconds overflows the timestamps"),
+    ], ids=["nan", "inf", "5e-324"])
+    def test_window_is_data_error(self, small_csv, tmp_path, capsys, value, message):
         code = run("train", "--sensors", small_csv, "--out", tmp_path / "run",
                    "--window-seconds", value)
         assert code == 3
-        assert capsys.readouterr().err == "error: data: window must be positive and finite\n"
+        assert capsys.readouterr().err == f"error: data: {message}\n"
+
+
+def _drop_relation_name(doc):
+    del doc["ontology"]["relations"][0]["name"]
+
+
+def _unbind_s2(doc):
+    del doc["bindings"]["s2"]
+
+
+class TestMalformedGraph:
+    @pytest.mark.parametrize("mutate, part", [
+        (lambda doc: doc["ontology"]["relations"].append("touches"), "ontology relation 1"),
+        (lambda doc: doc["nodes"].append(5), "node 3"),
+        (lambda doc: doc.update(bindings=[["s1", "p1"]]), "bindings"),
+        (lambda doc: doc["nodes"][0].update(props=[["length", 850]]), "node 'p1' props"),
+        (_drop_relation_name, "ontology relation 0: missing key 'name'"),
+        (_unbind_s2, "sensor 's2' has no binding"),
+    ], ids=["relation-string", "node-number", "bindings-list", "props-list",
+            "relation-without-name", "unbound-sensor"])
+    def test_is_named_data_error(self, small_csv, tmp_path, capsys, mutate, part):
+        doc = copy.deepcopy(WATER_GRAPH)
+        mutate(doc)
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(doc))
+        code = run("train", "--sensors", small_csv, "--graph", graph_path, "--enrich",
+                   "--out", tmp_path / "run", "--epochs", 1)
+        assert code == 3
+        assert part in single_data_error(capsys)
 
 
 class TestMine:

@@ -1,4 +1,8 @@
+import copy
 import json
+import re
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -89,6 +93,45 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError):
             load_graph(json.dumps({"nodes": []}))
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("ontology",), [], "ontology must be an object"),
+        (("ontology", "relations"), {}, "ontology relations must be an array"),
+        (("ontology", "relations", 0), "connected_to", "ontology relation 0 must be an object"),
+        (("ontology", "relations", 0, "name"), None, "ontology relation 0: missing key 'name'"),
+        (("ontology", "relations", 0, "name"), 5, "ontology relation 0 name must be a string"),
+        (("ontology", "relations", 0, "from"), ["Pipe"],
+         "ontology relation 0 'from' must be a string"),
+        (("ontology", "classes"), "Pipe", "ontology classes must be an array"),
+        (("ontology", "properties", 0), 5, "ontology properties entry 5 must be a string"),
+        (("ontology", "owned"), [], "ontology owned must be an object"),
+        (("ontology", "owned", "Pipe"), "length", "ontology owned 'Pipe' must be an array"),
+        (("nodes",), {}, "nodes must be an array"),
+        (("nodes", 2), 5, "node 2 must be an object"),
+        (("nodes", 0, "id"), 5, "node 0 id must be a string"),
+        (("nodes", 0, "labels"), "Pipe", "node 'p1' labels must be an array"),
+        (("nodes", 0, "props"), [["length", 850]], "node 'p1' props must be an object"),
+        (("nodes", 0, "props", "length"), [850],
+         "node 'p1' props 'length' must be a string, number or boolean"),
+        (("edges",), {}, "edges must be an array"),
+        (("edges", 0), "e1", "edge 0 must be an object"),
+        (("edges", 0, "from"), ["p1"], "edge 0 'from' must be a string"),
+        (("edges", 1, "labels", 0), 5, "edge 'e2' labels entry 5 must be a string"),
+        (("edges", 1, "props"), ["order"], "edge 'e2' props must be an object"),
+        (("bindings",), [["s1", "p1"]], "bindings must be an object"),
+        (("bindings", "s1"), ["p1"], "binding for sensor 's1' must be a string"),
+    ])
+    def test_wrong_json_type_is_named_format_error(self, path, value, message):
+        """Each mutation sets ``path`` to ``value``; None deletes it."""
+        doc = copy.deepcopy(WATER_GRAPH)
+        *parents, last = path
+        owner = reduce(getitem, parents, doc)
+        if value is None:
+            del owner[last]
+        else:
+            owner[last] = value
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            load_graph(json.dumps(doc))
+
     def test_bytes_and_stream_sources(self, water_graph_json):
         import io
 
@@ -166,7 +209,7 @@ class TestSemanticItems:
 
     def test_unbound_sensor_raises(self, water):
         graph, _, binding = water
-        with pytest.raises(UnboundSensorError):
+        with pytest.raises(UnboundSensorError, match="^sensor 'nope' has no binding in the graph$"):
             semantic_items_for_sensor(graph, binding, "nope", 1)
 
     def test_negative_depth_rejected(self, water):

@@ -13,6 +13,14 @@ from semarm.synth import (
 from semarm.transact import Enrichment, aggregate, build_transactions, load_sensor_csv
 
 
+def class_value_rows(table):
+    """Each row of the table as its class values, feature by feature."""
+    return [
+        [feature.class_values[c] for feature, c in zip(table.features, row)]
+        for row in table.rows.tolist()
+    ]
+
+
 def measure_confidence(matrix, rule):
     mask = np.ones(matrix.shape[0], dtype=bool)
     for feat, cls in rule.antecedent:
@@ -109,8 +117,7 @@ class TestDatasetFiles:
         direct = spec_to_table(spec, matrix)
         assert [f.name for f in table.features] == [f.name for f in direct.features]
         # class values observed in the CSV map back to the same assignments
-        for row in range(table.n_rows):
-            assert table.row_values(row) == direct.row_values(row)
+        assert class_value_rows(table) == class_value_rows(direct)
 
     def test_graph_conforms_to_its_ontology_and_binds_all_sensors(self):
         spec = SyntheticSpec(5, 3, 20, seed=10, zones=2)

@@ -36,7 +36,8 @@ class TestSensorCsv:
         series = load_sensor_csv(text)
         assert series.readings[("s1", 0.0)] == 2.5
         assert series.readings[("door", 60.0)] == "closed"
-        assert series.is_numeric("s1") and not series.is_numeric("door")
+        assert series.sensors == ["door", "s1"] and series.vocab == ["closed", "open"]
+        assert series.codes.tolist() == [-1, -1, 1, 0]
 
     def test_iso_timestamps(self):
         text = "timestamp,sensor_id,value\n1970-01-01T00:01:00+00:00,s1,1\n"
@@ -56,27 +57,32 @@ class TestSensorCsv:
         with pytest.raises(ValueError, match="mixes"):
             load_sensor_csv('timestamp,sensor_id,value\n0,s1,1\n60,s1,"open"\n')
 
+    def test_mixed_types_name_the_first_conflicting_reading(self):
+        text = 'timestamp,sensor_id,value\n0,s2,1\n0,s1,"a"\n60,s2,"x"\n60,s1,2\n'
+        with pytest.raises(ValueError, match="sensor 's2' mixes"):
+            load_sensor_csv(text)
+
 
 class TestAggregate:
     def test_numeric_mean_per_window(self):
-        series = SensorSeries({("s1", 0.0): 2.0, ("s1", 30.0): 4.0})
+        series = SensorSeries.from_readings({("s1", 0.0): 2.0, ("s1", 30.0): 4.0})
         out = aggregate(series, 60.0)
         assert out.readings == {("s1", 0.0): 3.0}
 
     def test_categorical_mode(self):
-        series = SensorSeries(
+        series = SensorSeries.from_readings(
             {("door", 0.0): "open", ("door", 10.0): "open", ("door", 20.0): "closed"}
         )
         out = aggregate(series, 60.0)
         assert out.readings == {("door", 0.0): "open"}
 
     def test_mode_tie_breaks_lexicographically(self):
-        series = SensorSeries({("door", 0.0): "open", ("door", 10.0): "closed"})
+        series = SensorSeries.from_readings({("door", 0.0): "open", ("door", 10.0): "closed"})
         out = aggregate(series, 60.0)
         assert out.readings[("door", 0.0)] == "closed"
 
     def test_windows_without_all_sensors_are_dropped(self):
-        series = SensorSeries(
+        series = SensorSeries.from_readings(
             {("s1", 0.0): 1.0, ("s1", 60.0): 2.0, ("s2", 0.0): 5.0}
         )
         out = aggregate(series, 60.0)
@@ -84,12 +90,16 @@ class TestAggregate:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(SensorSeries({}), 60.0)
+            aggregate(SensorSeries.from_readings({}), 60.0)
+
+    def test_tiny_window_that_does_not_overflow_is_one_window_per_timestamp(self):
+        series = SensorSeries.from_readings({("s1", 0.0): 1.0, ("s1", 60.0): 2.0})
+        assert aggregate(series, 1e-300).readings == {("s1", 0.0): 1.0, ("s1", 60.0): 2.0}
 
     def test_nonpositive_window_rejected(self):
         for window in (0.0, -60.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="window must be positive and finite"):
-                aggregate(SensorSeries({("s1", 0.0): 1.0}), window)
+                aggregate(SensorSeries.from_readings({("s1", 0.0): 1.0}), window)
 
 
 def brute_force_bin_counts(values, assignment):
@@ -118,8 +128,8 @@ class TestDiscretize:
         assert disc.labels == ["1-1", "2-4"]
 
     def test_bounds_equal_to_twelve_digits_get_exact_labels(self):
-        table = build_transactions(SensorSeries({("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3}),
-                                   intervals=2)
+        series = SensorSeries.from_readings({("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3})
+        table = build_transactions(series, intervals=2)
         assert table.features[0].class_values == [
             "0.3-0.3", "0.30000000000000004-0.30000000000000004"
         ]
@@ -128,7 +138,7 @@ class TestDiscretize:
     def test_exact_labels_only_in_the_colliding_column(self):
         readings = {("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3, ("s", 120.0): 2.5}
         readings.update({("t", 0.0): 0.1, ("t", 60.0): 0.25, ("t", 120.0): 1 / 3})
-        table = build_transactions(SensorSeries(readings), intervals=3)
+        table = build_transactions(SensorSeries.from_readings(readings), intervals=3)
         assert table.features[0].class_values == [
             "0.3-0.3", "0.30000000000000004-0.30000000000000004", "2.5-2.5"
         ]
@@ -171,7 +181,7 @@ def series_for(sensors, n_windows, rng=None):
     for sensor in sensors:
         for w in range(n_windows):
             readings[(sensor, float(w * 60))] = float(rng.normal())
-    return SensorSeries(readings)
+    return SensorSeries.from_readings(readings)
 
 
 class TestBuildTransactions:
@@ -239,11 +249,11 @@ class TestBuildTransactions:
     def test_non_aggregated_series_rejected(self):
         readings = {("a", 0.0): 1.0, ("a", 60.0): 2.0, ("b", 0.0): 3.0}
         with pytest.raises(ValueError, match="aggregated"):
-            build_transactions(SensorSeries(readings))
+            build_transactions(SensorSeries.from_readings(readings))
 
     def test_categorical_sensor_classes_sorted(self):
         readings = {("d", 0.0): "open", ("d", 60.0): "closed", ("d", 120.0): "open"}
-        table = build_transactions(SensorSeries(readings))
+        table = build_transactions(SensorSeries.from_readings(readings))
         assert table.features[0].class_values == ["closed", "open"]
         assert list(table.rows[:, 0]) == [1, 0, 1]
 
@@ -329,7 +339,7 @@ def oracle_aggregate(series: SensorSeries, window: float) -> SensorSeries:
                 # a left fold: what sum() computes before Python 3.12, which
                 # made sum() of floats compensated
                 out[(sensor, start)] = float(reduce(add, values, 0)) / len(values)
-    return SensorSeries(out)
+    return SensorSeries.from_readings(out)
 
 
 def oracle_discretize(values, intervals):
@@ -403,9 +413,9 @@ def oracle_build_transactions(series, enrichment=None, intervals=10):
     return TransactionTable(features, np.array(columns, dtype=np.int64).T)
 
 
-def exact_items(series):
+def exact_items(readings):
     """Readings in insertion order, with value types and the sign of zeros."""
-    return [(s, repr(ts), type(v), repr(v)) for (s, ts), v in series.readings.items()]
+    return [(s, repr(ts), type(v), repr(v)) for (s, ts), v in readings.items()]
 
 
 def exact_features(table):
@@ -420,8 +430,11 @@ NUMBER_POOLS = (
 )
 
 
+SENSOR_NAMES = ("s1", "s2", "s3", "t4")
+
+
 @st.composite
-def raw_series(draw, names=("s1", "s2", "s3", "t4")):
+def raw_readings(draw, names=SENSOR_NAMES):
     """Readings from 1-4 sensors, numeric and categorical mixed, in shuffled
     insertion order; each sensor reports 1-40 readings in some windows,
     negative and fractional timestamps included."""
@@ -452,12 +465,46 @@ def raw_series(draw, names=("s1", "s2", "s3", "t4")):
                     value = rng.choice(pool)
                 readings.append(((sensor, ts), value))
     rng.shuffle(readings)
-    return SensorSeries(dict(readings)), window
+    return dict(readings), window
+
+
+def raw_series():
+    return raw_readings().map(lambda drawn: (SensorSeries.from_readings(drawn[0]), drawn[1]))
+
+
+class TestSeriesColumns:
+    @given(raw_readings())
+    @settings(max_examples=150, deadline=None)
+    def test_readings_view_round_trips(self, drawn):
+        readings, _ = drawn
+        view = SensorSeries.from_readings(readings).readings
+        assert exact_items(view) == exact_items(readings)
+
+    @given(raw_readings(), st.sets(st.sampled_from(SENSOR_NAMES)))
+    @example(({("s1", 0.0): 1.0, ("s2", 0.0): "a"}, 60.0), set())
+    @settings(max_examples=150, deadline=None)
+    def test_select_matches_filter(self, drawn, names):
+        readings, window = drawn
+        selected = SensorSeries.from_readings(readings).select(names)
+        expected = {key: v for key, v in readings.items() if key[0] in names}
+        assert exact_items(selected.readings) == exact_items(expected)
+        assert selected.sensors == sorted({sensor for sensor, _ in expected})
+        if expected:
+            def outcome(series):
+                try:
+                    return exact_items(aggregate(series, window).readings)
+                except ValueError as exc:
+                    return str(exc)
+
+            assert outcome(selected) == outcome(SensorSeries.from_readings(expected))
+        else:  # the selection removed every reading
+            assert selected.timestamps.size == 0
+
 
 
 class TestColumnarMatchesOracle:
     @given(raw_series())
-    @example((SensorSeries({}), 60.0))  # every sensor missed every window
+    @example((SensorSeries.from_readings({}), 60.0))  # every sensor missed every window
     @settings(max_examples=150, deadline=None)
     def test_aggregate(self, drawn):
         series, window = drawn
@@ -471,11 +518,11 @@ class TestColumnarMatchesOracle:
             with pytest.raises(ValueError, match=f"no {window:g}-second window"):
                 aggregate(series, window)
         else:
-            assert exact_items(aggregate(series, window)) == exact_items(expected)
+            assert exact_items(aggregate(series, window).readings) == exact_items(expected.readings)
 
     @given(raw_series(), st.integers(1, 12), st.sampled_from([None, 0, 1, 2]), st.booleans())
-    @example((SensorSeries({}), 60.0), 1, None, False)
-    @example((SensorSeries({}), 60.0), 1, None, True)
+    @example((SensorSeries.from_readings({}), 60.0), 1, None, False)
+    @example((SensorSeries.from_readings({}), 60.0), 1, None, True)
     @settings(max_examples=150, deadline=None)
     def test_build_transactions(self, drawn, intervals, depth, pre_aggregate):
         series, window = drawn
