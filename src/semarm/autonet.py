@@ -180,8 +180,8 @@ def bce_loss(reconstruction, clean_target) -> float:
 def _loss_and_grads(weights, biases, layout, noisy, clean):
     """Loss plus exact gradients of bce_loss(forward(noisy), clean)."""
     acts, p = _activations(weights, biases, layout, noisy)
+    loss = bce_loss(p, clean)
     pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    loss = float(np.mean(-(clean * np.log(pc) + (1.0 - clean) * np.log(1.0 - pc))))
 
     n_terms = clean.size
     dp = (-(clean / pc) + (1.0 - clean) / (1.0 - pc)) / n_terms

@@ -15,9 +15,6 @@ import numpy as np
 
 from .extract import Item, Rule
 from .quality import _popcount, _slot_bits, rule_counts, rule_metrics
-from .quality import confidence as _confidence
-from .quality import support as _support
-from .quality import zhang as _zhang
 from .transact import TransactionTable
 
 __all__ = [
@@ -77,7 +74,6 @@ def mine_frequent(
     while level and (max_size is None or size < max_size):
         size += 1
         keys = sorted(level)
-        frequent_keys = set(keys)
         next_level: dict[tuple[Item, ...], np.ndarray] = {}
         for i, left in enumerate(keys):
             for right in keys[i + 1 :]:
@@ -87,10 +83,8 @@ def mine_frequent(
                 if last.feature == left[-1].feature:
                     continue  # one class per feature
                 candidate = left + (last,)
-                if any(
-                    _canonical(set(candidate) - {item}) not in frequent_keys
-                    for item in candidate
-                ):
+                # dropping either of the last two items gives `left` or `right`
+                if any(candidate[:j] + candidate[j + 1 :] not in level for j in range(size - 2)):
                     continue
                 row_bits = level[left] & item_bits[last]
                 sup = int(_popcount(row_bits)) / n
@@ -151,8 +145,9 @@ def brute_force_implications(
     """Ground-truth enumeration of every rule meeting the confidence bound.
 
     Checks all (antecedent set, consequent item) combinations by direct row
-    counting, independent of the level-wise miner. Guarded: the enumeration
-    must stay within 10^7 combinations.
+    counting, independent of the level-wise miner and the bitset counting
+    kernel; only the metric formula, ``quality.rule_metrics``, is shared.
+    Guarded: the enumeration must stay within 10^7 combinations.
     """
     size = _enumeration_size(table, max_antecedents)
     if size > BRUTE_FORCE_GUARD:
@@ -161,7 +156,7 @@ def brute_force_implications(
     if n == 0:
         return []
     counts = [len(f.class_values) for f in table.features]
-    rules = []
+    rules, counted = [], []
     for a_size in range(1, min(max_antecedents, len(counts)) + 1):
         for subset in combinations(range(len(counts)), a_size):
             outside = [f for f in range(len(counts)) if f not in subset]
@@ -175,19 +170,17 @@ def brute_force_implications(
                 antecedent = frozenset(Item(f, c) for f, c in zip(subset, classes))
                 for feat in outside:
                     for cls in range(counts[feat]):
-                        n_xy = int((x_mask & (table.rows[:, feat] == cls)).sum())
+                        y_mask = table.rows[:, feat] == cls
+                        n_xy = int((x_mask & y_mask).sum())
                         if n_xy / n_x >= min_confidence:
-                            rule = Rule(antecedent, Item(feat, cls))
-                            rules.append(
-                                Rule(
-                                    antecedent,
-                                    Item(feat, cls),
-                                    support=_support(rule, table),
-                                    confidence=_confidence(rule, table),
-                                    zhang=_zhang(rule, table),
-                                )
-                            )
-    return rules
+                            rules.append(Rule(antecedent, Item(feat, cls)))
+                            counted.append((n_x, n_xy, int(y_mask.sum())))
+    n_xs, n_xys, n_ys = np.array(counted, dtype=np.int64).reshape(-1, 3).T
+    supports, confidences, _, zhangs = rule_metrics(n_xs, n_xys, n_ys, n)
+    return [
+        rule.with_metrics(sup, conf, zh)
+        for rule, sup, conf, zh in zip(rules, supports, confidences, zhangs)
+    ]
 
 
 def coupled_support_threshold(reference_rules, table: TransactionTable) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -145,10 +146,19 @@ def _strings(value, context: str) -> list[str]:
     return value
 
 
+def _finite_float(number: int | float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _props(value, context: str) -> dict[str, object]:
     for key, prop in _typed(value, dict, context).items():
         if not isinstance(prop, (str, int, float)):
             raise GraphFormatError(f"{context} {key!r} must be a string, number or boolean")
+        if not isinstance(prop, str) and not _finite_float(prop):
+            raise GraphFormatError(f"{context} {key!r} must be a finite number that fits a float")
     return dict(value)
 
 

@@ -4,8 +4,11 @@ coverage, data coverage, and Zhang's association-strength metric.
 All metrics are exact integer counts followed by one final division, so
 independent row-scan recomputations agree bit-for-bit. ``rule_counts`` counts
 a whole rule list in one pass over per-item row bitsets (the vertical layout
-of ECLAT), one bitset per distinct antecedent; the scalar metric functions
-recount one rule at a time as its reference.
+of ECLAT), one bitset per distinct antecedent, and ``rule_metrics`` is the one
+place the metrics are computed from counts. The scalar functions (``support``
+... ``zhang``, ``data_coverage``) are views over that kernel for one rule or
+rule list; the row-scan references they are checked against are the
+``oracle_*`` functions in ``tests/test_quality.py``.
 """
 
 from __future__ import annotations
@@ -37,47 +40,32 @@ __all__ = [
 ]
 
 
-def _items_mask(table: TransactionTable, items) -> np.ndarray:
-    mask = np.ones(table.n_rows, dtype=bool)
-    for item in items:
-        mask &= table.rows[:, item.feature] == item.class_index
-    return mask
-
-
-def _counts(rule: Rule, table: TransactionTable) -> tuple[int, int, int]:
-    """(antecedent count, antecedent+consequent count, consequent count)."""
-    x_mask = _items_mask(table, rule.antecedent)
-    y_mask = table.rows[:, rule.consequent.feature] == rule.consequent.class_index
-    return int(x_mask.sum()), int((x_mask & y_mask).sum()), int(y_mask.sum())
+def _metrics(rule: Rule, table: TransactionTable) -> list[float]:
+    """[support, confidence, rule coverage, zhang] of one rule, from the
+    counting kernel."""
+    return [values[0] for values in rule_metrics(*rule_counts([rule], table), table.n_rows)]
 
 
 def support(rule: Rule, table: TransactionTable) -> float:
     """Fraction of transactions containing every item of the rule."""
-    _, n_xy, _ = _counts(rule, table)
-    return n_xy / table.n_rows
+    return _metrics(rule, table)[0]
 
 
 def confidence(rule: Rule, table: TransactionTable) -> float:
     """Fraction of antecedent transactions also containing the consequent;
     0 when the antecedent never occurs."""
-    n_x, n_xy, _ = _counts(rule, table)
-    return n_xy / n_x if n_x else 0.0
+    return _metrics(rule, table)[1]
 
 
 def rule_coverage(rule: Rule, table: TransactionTable) -> float:
     """Fraction of transactions containing the antecedent."""
-    x_mask = _items_mask(table, rule.antecedent)
-    return int(x_mask.sum()) / table.n_rows
+    return _metrics(rule, table)[2]
 
 
 def data_coverage(rules, table: TransactionTable) -> float:
     """Fraction of transactions matched by at least one rule's antecedent."""
-    if not rules:
-        return 0.0
-    union = np.zeros(table.n_rows, dtype=bool)
-    for rule in rules:
-        union |= _items_mask(table, rule.antecedent)
-    return int(union.sum()) / table.n_rows
+    rules = list(rules)
+    return _count_pass(rules, table)[3] / table.n_rows if rules else 0.0
 
 
 def zhang(rule: Rule, table: TransactionTable) -> float:
@@ -88,16 +76,7 @@ def zhang(rule: Rule, table: TransactionTable) -> float:
     with X' the transactions lacking X. Returns 0 when X covers every row
     (X' is empty) or when both confidences are 0.
     """
-    n = table.n_rows
-    n_x, n_xy, n_y = _counts(rule, table)
-    if n_x == n:
-        return 0.0
-    conf_x = n_xy / n_x if n_x else 0.0
-    conf_not_x = (n_y - n_xy) / (n - n_x)
-    denom = max(conf_x, conf_not_x)
-    if denom == 0.0:
-        return 0.0
-    return (conf_x - conf_not_x) / denom
+    return _metrics(rule, table)[3]
 
 
 @dataclass
@@ -142,13 +121,21 @@ def _count_pass(rules: list[Rule], table: TransactionTable):
 
     Rules are grouped by antecedent; each distinct antecedent's row bitset is
     the AND of its items' bitsets, built once and intersected with every
-    consequent of the group.
+    consequent of the group. Raises ValueError for an item outside the
+    table's layout and for rules on a table with no rows.
     """
-    offsets = table.layout().offsets
+    if rules and table.n_rows == 0:
+        raise ValueError("cannot measure rules on a table with no rows")
+    layout = table.layout()
+
+    def slot(item: Item) -> int:
+        try:
+            return layout.slot(item.feature, item.class_index)
+        except IndexError:
+            raise ValueError(f"rule item {item} is outside the table's layout") from None
+
     bits = _slot_bits(table)
-    consequent_slots = np.array(
-        [offsets[r.consequent.feature] + r.consequent.class_index for r in rules], dtype=np.int64
-    )
+    consequent_slots = np.array([slot(r.consequent) for r in rules], dtype=np.int64)
     groups: dict[frozenset[Item], list[int]] = {}
     for i, rule in enumerate(rules):
         groups.setdefault(rule.antecedent, []).append(i)
@@ -156,7 +143,7 @@ def _count_pass(rules: list[Rule], table: TransactionTable):
     n_xy = np.zeros(len(rules), dtype=np.int64)
     covered = np.zeros(bits.shape[1], dtype=np.uint64)
     for antecedent, members in groups.items():
-        x_slots = [offsets[item.feature] + item.class_index for item in antecedent]
+        x_slots = [slot(item) for item in antecedent]
         x_bits = np.bitwise_and.reduce(bits[x_slots], axis=0)
         covered |= x_bits
         n_x[members] = _popcount(x_bits)
@@ -173,8 +160,8 @@ def rule_counts(rules, table: TransactionTable) -> tuple[np.ndarray, np.ndarray,
 
 def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[list, list, list, list]:
     """Support, confidence, rule coverage and Zhang's metric per rule, as
-    Python floats, from count arrays over ``n`` rows. Each is the same
-    float64 division as the scalar function of the same name."""
+    Python floats, from count arrays over ``n`` rows; the scalar functions
+    of the same names read their value from here."""
     with np.errstate(divide="ignore", invalid="ignore"):
         conf_x = np.where(n_x > 0, n_xy / n_x, 0.0)
         conf_not_x = (n_y - n_xy) / (n - n_x)

@@ -312,12 +312,9 @@ class GroupLayout:
     def offsets(self) -> tuple[int, ...]:
         return self._offsets  # type: ignore[attr-defined]
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        """(feature_index, class_count) in slot order."""
-        return list(enumerate(self.class_counts))
-
     def slot(self, feature: int, class_index: int) -> int:
+        if not 0 <= feature < len(self.class_counts):
+            raise IndexError(f"feature {feature} out of range")
         if not 0 <= class_index < self.class_counts[feature]:
             raise IndexError(f"class {class_index} out of range for feature {feature}")
         return self.offsets[feature] + class_index

@@ -14,6 +14,7 @@ from semarm.extract import Item, Rule
 from semarm.transact import Feature, TransactionTable
 
 from conftest import make_random_table
+from test_quality import oracle_confidence, oracle_support, oracle_zhang
 
 
 def powerset_itemsets_oracle(table, min_support):
@@ -132,12 +133,10 @@ class TestRulesFromItemsets:
         rng = np.random.default_rng(23)
         table = make_random_table(rng, max_features=4, max_rows=20)
         itemsets = mine_frequent(table, 1.0 / table.n_rows)
-        from semarm import quality
-
         for rule in rules_from_itemsets(itemsets, table, 0.5, 2):
-            assert rule.support == quality.support(rule, table)
-            assert rule.confidence == quality.confidence(rule, table)
-            assert rule.zhang == quality.zhang(rule, table)
+            assert rule.support == oracle_support(rule, table)
+            assert rule.confidence == oracle_confidence(rule, table)
+            assert rule.zhang == oracle_zhang(rule, table)
 
     def test_rule_shape_constraints(self):
         rng = np.random.default_rng(29)
@@ -194,8 +193,6 @@ class TestCoupledThreshold:
     def test_matches_hand_recomputation(self):
         rng = np.random.default_rng(31)
         table = make_random_table(rng)
-        from semarm import quality
-
         rules = []
         for _ in range(5):
             feats = rng.choice(table.n_features, size=2, replace=False)
@@ -204,5 +201,5 @@ class TestCoupledThreshold:
                 for f in feats
             ]
             rules.append(Rule(frozenset(items[:1]), items[1]))
-        expected = sum(quality.support(r, table) for r in rules) / len(rules) / 2
+        expected = sum(oracle_support(r, table) for r in rules) / len(rules) / 2
         assert coupled_support_threshold(rules, table) == expected

@@ -207,8 +207,11 @@ class TestMalformedGraph:
         (lambda doc: doc["nodes"][0].update(props=[["length", 850]]), "node 'p1' props"),
         (_drop_relation_name, "ontology relation 0: missing key 'name'"),
         (_unbind_s2, "sensor 's2' has no binding"),
+        (lambda doc: doc["nodes"][0]["props"].update(length=10**400), "node 'p1' props 'length'"),
+        (lambda doc: doc["edges"][1]["props"].update(order=math.nan), "edge 'e2' props 'order'"),
     ], ids=["relation-string", "node-number", "bindings-list", "props-list",
-            "relation-without-name", "unbound-sensor"])
+            "relation-without-name", "unbound-sensor", "number-too-large-for-float",
+            "non-finite-number"])
     def test_is_named_data_error(self, small_csv, tmp_path, capsys, mutate, part):
         doc = copy.deepcopy(WATER_GRAPH)
         mutate(doc)

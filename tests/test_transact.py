@@ -274,7 +274,6 @@ class TestOneHot:
         )
         matrix = one_hot_encode(table)
         assert matrix.data.tolist() == [[1.0, 0.0, 1.0, 0.0, 0.0]]
-        assert matrix.layout.pairs == [(0, 2), (1, 3)]
 
     def test_round_trip_on_random_tables(self):
         rng = np.random.default_rng(7)
