@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -132,18 +132,21 @@ class TrainedAutoencoder:
         Hidden layers apply tanh; the final pre-activation is split by the
         feature layout and softmax-normalized within each group, so each
         feature's slots sum to 1."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.shape.input_dim,):
-            raise ValueError(f"expected input of length {self.shape.input_dim}")
-        if not np.isfinite(x).all():
-            raise ValueError("input contains non-finite values")
-        return _activations(self.weights, self.biases, self.shape.group_layout, x[None, :])[1][0]
+        batch = self._checked_input(x, ndim=1)[None, :]
+        return _activations(self.weights, self.biases, self.shape.group_layout, batch)[1][0]
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 2 or batch.shape[1] != self.shape.input_dim:
-            raise ValueError("batch width does not match the network input")
+        batch = self._checked_input(batch, ndim=2)
         return _activations(self.weights, self.biases, self.shape.group_layout, batch)[1]
+
+    def _checked_input(self, x, ndim: int) -> np.ndarray:
+        """``x`` as float64 with ``ndim`` axes, the last of input width, all finite."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != ndim or x.shape[-1] != self.shape.input_dim:
+            raise ValueError(f"expected input {ndim}-d with width {self.shape.input_dim}")
+        if not np.isfinite(x).all():
+            raise ValueError("input contains non-finite values")
+        return x
 
 
 def _group_softmax(z: np.ndarray, layout: GroupLayout) -> np.ndarray:
@@ -261,26 +264,16 @@ def train(
 
     rng = np.random.default_rng(config.rng_seed)
     weights, biases = _initial_parameters(shape, rng)
-
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    # Adam updates one flat vector; the layer arrays are views into it.
+    params = np.concatenate([t.ravel() for t in weights + biases])
+    chunks = np.split(params, np.cumsum([t.size for t in weights + biases])[:-1])
+    weights = [c.reshape(t.shape) for c, t in zip(chunks[:6], weights)]
+    biases = chunks[6:]
+    m, v = np.zeros_like(params), np.zeros_like(params)
     step = 0
     data = matrix.data
     n = matrix.n_rows
     epoch_loss = math.nan
-
-    def adam_update(param, grad, m, v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**step)
-        v_hat = v / (1.0 - ADAM_BETA2**step)
-        param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if config.weight_decay:
-            param -= config.learning_rate * config.weight_decay * param
 
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -293,9 +286,16 @@ def train(
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at step {step + 1}: {loss}")
             step += 1
-            for i in range(6):
-                adam_update(weights[i], grads_w[i], m_w[i], v_w[i])
-                adam_update(biases[i], grads_b[i], m_b[i], v_b[i])
+            grad = np.concatenate([g.ravel() for g in grads_w + grads_b])
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1**step)
+            v_hat = v / (1.0 - ADAM_BETA2**step)
+            params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if config.weight_decay:
+                params -= config.learning_rate * config.weight_decay * params
             loss_sum += loss * len(idx)
         epoch_loss = loss_sum / n
 
@@ -317,22 +317,25 @@ def model_to_doc(net: TrainedAutoencoder) -> dict:
 
 
 def model_from_doc(doc: dict) -> TrainedAutoencoder:
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+    config = doc["config"]
+    if not isinstance(config, dict) or not config.keys() <= {f.name for f in fields(TrainingConfig)}:
+        raise ValueError("model config must be an object of TrainingConfig fields")
     shape = NetworkShape(
         input_dim=int(doc["input_dim"]),
         encoder_dims=tuple(doc["encoder_dims"]),
         decoder_dims=tuple(doc["decoder_dims"]),
         group_layout=GroupLayout(tuple(doc["class_counts"])),
     )
-    config = TrainingConfig(**doc["config"])
-    net = TrainedAutoencoder(
+    return TrainedAutoencoder(
         shape,
         [np.asarray(w, dtype=np.float64) for w in doc["weights"]],
         [np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        config,
+        TrainingConfig(**config),
         int(doc["rng_seed"]),
         doc.get("final_loss"),
     )
-    return net
 
 
 def save_model(net: TrainedAutoencoder, path):

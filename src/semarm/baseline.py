@@ -115,7 +115,7 @@ def rules_from_itemsets(
         if not 2 <= len(items) <= max_antecedents + 1:
             continue
         for consequent in items:
-            candidates.append(Rule(frozenset(set(items) - {consequent}), consequent))
+            candidates.append(Rule(itemset.items - {consequent}, consequent))
     supports, confidences, _, zhangs = rule_metrics(*rule_counts(candidates, table), table.n_rows)
     return [
         rule.with_metrics(sup, conf, zh)

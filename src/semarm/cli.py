@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -159,32 +161,17 @@ def _write_outputs(out: Path, prefix: str, rules, report, features, **extra):
 def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
     """Pick a seeded random bound sensor and widen over graph neighbors until
     ``count`` bound sensors are collected."""
-    node_to_sensors: dict[str, list[str]] = {}
-    for sensor, node in sorted(binding.sensor_to_node.items()):
-        node_to_sensors.setdefault(node, []).append(sensor)
     sensors = sorted(binding.sensor_to_node)
     if count >= len(sensors):
         return sensors
+    node_to_sensors: dict[str, list[str]] = {}
+    for sensor in sensors:
+        node_to_sensors.setdefault(binding.sensor_to_node[sensor], []).append(sensor)
     rng = np.random.default_rng(seed)
-    start_sensor = sensors[int(rng.integers(0, len(sensors)))]
-    adjacency = graph.adjacency()
-    picked: list[str] = []
-    visited = set()
-    frontier = [binding.sensor_to_node[start_sensor]]
-    while frontier and len(picked) < count:
-        next_frontier = []
-        for node in frontier:
-            if node in visited:
-                continue
-            visited.add(node)
-            for sensor in node_to_sensors.get(node, ()):
-                if len(picked) < count:
-                    picked.append(sensor)
-            for _, other in adjacency.get(node, ()):
-                if other not in visited:
-                    next_frontier.append(other)
-        frontier = sorted(set(next_frontier))
-    return sorted(picked)
+    start = binding.sensor_to_node[sensors[int(rng.integers(0, len(sensors)))]]
+    along = (sensor for ring in graph.hop_rings(start) for node in ring
+             for sensor in node_to_sensors.get(node, ()))
+    return sorted(islice(along, max(count, 0)))
 
 
 def _build_table(settings, keep_sensors=None):
@@ -245,19 +232,25 @@ def cmd_synth(settings) -> int:
     planted_raw = settings.get("planted", [])
     if isinstance(planted_raw, str):
         planted_raw = json.loads(planted_raw)
-    planted = tuple(
-        synth.PlantedRule(
-            antecedent=tuple((int(f), int(c)) for f, c in rule["antecedent"]),
-            consequent=(int(rule["consequent"][0]), int(rule["consequent"][1])),
-            confidence=float(rule.get("confidence", 1.0)),
-        )
-        for rule in planted_raw
-    )
+    if not isinstance(planted_raw, list):
+        raise ValueError("planted rules must be a JSON array")
+    planted = []
+    for i, rule in enumerate(planted_raw):
+        if not isinstance(rule, dict):
+            raise ValueError(f"planted rule {i} must be an object")
+        try:
+            planted.append(synth.PlantedRule(
+                antecedent=tuple((int(f), int(c)) for f, c in rule["antecedent"]),
+                consequent=(int(rule["consequent"][0]), int(rule["consequent"][1])),
+                confidence=float(rule.get("confidence", 1.0)),
+            ))
+        except TypeError as exc:  # a number where a list belongs, or the reverse
+            raise ValueError(f"planted rule {i}: {exc}") from exc
     spec = synth.SyntheticSpec(
         features=int(settings.get("features", 10)),
         classes_per_feature=int(settings.get("classes", 4)),
         rows=int(settings.get("rows", 1000)),
-        planted=planted,
+        planted=tuple(planted),
         noise_rate=float(settings.get("noise-rate", 0.0)),
         seed=int(settings.get("seed", 0)),
         exclusive_consequents=bool(settings.get("exclusive-consequents", True)),
@@ -294,7 +287,7 @@ def cmd_train(settings) -> int:
     manifest = {
         "features": _feature_docs(table.features),
         "pipeline": pipeline,
-        "training": autonet.model_to_doc(net)["config"],
+        "training": asdict(net.config),
         "seed": config.rng_seed,
         "final_loss": net.final_loss,
         "timings": {"ingest_seconds": ingest_seconds, "train_seconds": train_seconds},
@@ -306,15 +299,12 @@ def cmd_train(settings) -> int:
 
 
 def _rebuild_from_manifest(settings, manifest):
+    if not isinstance(manifest, dict) or not isinstance(manifest["pipeline"], dict):
+        raise ValueError("manifest and its pipeline must be JSON objects")
     pipeline = manifest["pipeline"]
-    for key, name in (
-        ("window_seconds", "window-seconds"),
-        ("intervals", "intervals"),
-        ("enrich", "enrich"),
-        ("depth", "depth"),
-    ):
-        if settings.get(name) is None:
-            settings.config[name] = pipeline[key]
+    for key in ("window_seconds", "intervals", "enrich", "depth"):
+        if settings.get(key.replace("_", "-")) is None:
+            settings.config[key.replace("_", "-")] = pipeline[key]
     table, _ = _build_table(settings, keep_sensors=pipeline["sensors"])
     if _feature_docs(table.features) != manifest["features"]:
         raise ValueError(

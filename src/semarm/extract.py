@@ -228,7 +228,7 @@ def _item_from_doc(doc: dict, by_name: dict[str, tuple[int, dict[str, int]]]) ->
     try:
         feature_idx, class_lookup = by_name[doc["feature"]]
         return Item(feature_idx, class_lookup[doc["class"]])
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable name
         raise ValueError(f"unknown feature or class in rule document: {exc}") from exc
 
 
@@ -319,5 +319,12 @@ def rules_from_json(text, features: list[Feature]) -> list[Rule]:
     docs = json.loads(text)
     if not isinstance(docs, list):
         raise ValueError("rules document must be a JSON array")
+    for i, doc in enumerate(docs):
+        if not isinstance(doc, dict):
+            raise ValueError(f"rule {i} must be an object")
+        if not isinstance(doc.get("antecedent"), list):
+            raise ValueError(f"rule {i} antecedent must be an array")
+        if not all(isinstance(d, dict) for d in [*doc["antecedent"], doc.get("consequent")]):
+            raise ValueError(f"rule {i} items must be objects")
     by_name = _feature_lookup(features)
     return [_rule_from_doc(doc, by_name) for doc in docs]

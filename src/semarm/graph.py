@@ -11,7 +11,9 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 __all__ = [
     "Ontology",
@@ -77,15 +79,17 @@ class PropertyGraph:
     labels: dict[str, set[str]] = field(default_factory=dict)
     properties: dict[str, dict[str, object]] = field(default_factory=dict)
 
-    def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """Undirected adjacency: node -> sorted list of (edge_id, other_node)."""
-        adj: dict[str, list[tuple[str, str]]] = {}
-        for edge, (src, dst) in self.edge_endpoints.items():
-            adj.setdefault(src, []).append((edge, dst))
-            adj.setdefault(dst, []).append((edge, src))
-        for entries in adj.values():
-            entries.sort()
-        return adj
+    def hop_rings(self, start: str) -> Iterator[list[str]]:
+        """Sorted node lists by undirected hop distance, ``[start]`` first."""
+        neighbors: dict[str, set[str]] = {}
+        for src, dst in self.edge_endpoints.values():
+            neighbors.setdefault(src, set()).add(dst)
+            neighbors.setdefault(dst, set()).add(src)
+        ring, seen = [start], {start}
+        while ring:
+            yield ring
+            ring = sorted({other for node in ring for other in neighbors.get(node, ())} - seen)
+            seen.update(ring)
 
 
 @dataclass
@@ -316,8 +320,8 @@ def semantic_items_for_sensor(
     ("hop1.<label>.<property>", ...). Traversed edges contribute their
     properties under "edge<d>" roles only when ``include_edge_props`` is set.
 
-    The result is ordered lexicographically by (feature name, value) and is
-    deterministic; items at depth k are a superset of items at depth k - 1.
+    The result is sorted by (feature name, value text, value type), whatever
+    the walk order; items at depth k are a superset of items at depth k - 1.
     """
     if neighbor_depth < 0:
         raise ValueError("neighbor_depth must be >= 0")
@@ -331,20 +335,14 @@ def semantic_items_for_sensor(
         items.append(("self.type", label))
     items.extend(_owner_items(graph, start, "self"))
 
-    adjacency = graph.adjacency()
-    visited = {start}
-    seen_edges: set[str] = set()
-    frontier = [start]
-    for depth in range(1, neighbor_depth + 1):
-        next_frontier = []
-        for node in frontier:
-            for edge_id, other in adjacency.get(node, ()):
-                if include_edge_props and edge_id not in seen_edges:
-                    seen_edges.add(edge_id)
-                    items.extend(_owner_items(graph, edge_id, f"edge{depth}"))
-                if other not in visited:
-                    visited.add(other)
-                    next_frontier.append(other)
-                    items.extend(_owner_items(graph, other, f"hop{depth}"))
-        frontier = sorted(next_frontier)
-    return sorted(items, key=lambda kv: (kv[0], str(kv[1])))
+    rings = islice(graph.hop_rings(start), neighbor_depth + 1)
+    hops = {node: hop for hop, ring in enumerate(rings) for node in ring}
+    for node, hop in hops.items():
+        if hop:
+            items.extend(_owner_items(graph, node, f"hop{hop}"))
+    if include_edge_props:  # an edge is one hop past its nearer end
+        for edge_id, ends in graph.edge_endpoints.items():
+            near = min(hops.get(node, neighbor_depth) for node in ends)
+            if near < neighbor_depth:
+                items.extend(_owner_items(graph, edge_id, f"edge{near + 1}"))
+    return sorted(items, key=lambda kv: (kv[0], str(kv[1]), type(kv[1]).__name__))

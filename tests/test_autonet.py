@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semarm.autonet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     NetworkShape,
     TrainedAutoencoder,
     TrainingConfig,
@@ -14,10 +19,11 @@ from semarm.autonet import (
     model_from_doc,
     model_to_doc,
     save_model,
+    _initial_parameters,
+    _loss_and_grads,
     train,
 )
 from semarm.transact import EncodedMatrix, GroupLayout
-
 
 
 def toy_shape(counts=(2, 3, 2), dims=(4, 3, 2)):
@@ -123,6 +129,23 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_batch_rejects_non_finite_input(self, value):
+        net = initialize_network(toy_shape(), seed=0)
+        batch = np.zeros((3, net.shape.input_dim))
+        batch[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            net.forward_batch(batch)
+        with pytest.raises(ValueError, match="non-finite"):
+            net.forward_batch(np.full((2, net.shape.input_dim), value))
+
+    def test_batch_width_validation(self):
+        net = initialize_network(toy_shape(), seed=0)
+        with pytest.raises(ValueError):
+            net.forward_batch(np.zeros((2, net.shape.input_dim + 1)))
+        with pytest.raises(ValueError):
+            net.forward_batch(np.zeros(net.shape.input_dim))
+
 
 class TestShape:
     def test_under_completeness_enforced(self):
@@ -194,7 +217,91 @@ def tiny_matrix(rows=24, counts=(2, 3, 2), seed=0):
     return EncodedMatrix(layout, data)
 
 
+def reference_train(matrix, shape, config):
+    """Per-tensor Adam oracle: one moment pair and one update call per
+    weight and bias tensor. Returns (weights, biases, final_loss)."""
+    rng = np.random.default_rng(config.rng_seed)
+    weights, biases = _initial_parameters(shape, rng)
+
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    step = 0
+    data = matrix.data
+    n = matrix.n_rows
+    epoch_loss = math.nan
+
+    def adam_update(param, grad, m, v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**step)
+        v_hat = v / (1.0 - ADAM_BETA2**step)
+        param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if config.weight_decay:
+            param -= config.learning_rate * config.weight_decay * param
+
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            clean = data[idx]
+            noisy = np.clip(clean + rng.normal(0.0, config.noise_factor, clean.shape), 0.0, 1.0)
+            loss, grads_w, grads_b = _loss_and_grads(weights, biases, shape.group_layout, noisy, clean)
+            step += 1
+            for i in range(6):
+                adam_update(weights[i], grads_w[i], m_w[i], v_w[i])
+                adam_update(biases[i], grads_b[i], m_b[i], v_b[i])
+            loss_sum += loss * len(idx)
+        epoch_loss = loss_sum / n
+    return weights, biases, epoch_loss
+
+
+@st.composite
+def training_cases(draw):
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    assume(sum(counts) >= 2)
+    n_rows = draw(st.integers(1, 150))
+    divisors = [d for d in range(1, n_rows + 1) if n_rows % d == 0]
+    batch_size = draw(
+        st.one_of(
+            st.sampled_from(divisors),
+            st.integers(1, n_rows),
+            st.integers(n_rows + 1, n_rows + 64),
+        )
+    )
+    layout = GroupLayout(counts)
+    code = draw(st.integers(1, layout.width - 1))
+    hidden = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    shape = NetworkShape(layout.width, (*hidden, code), (hidden[1], hidden[0], layout.width), layout)
+    config = TrainingConfig(
+        learning_rate=draw(st.sampled_from([1e-3, 5e-3, 0.05])),
+        epochs=draw(st.integers(1, 3)),
+        weight_decay=draw(st.sampled_from([0.0, 2e-8, 1e-3])),
+        noise_factor=draw(st.sampled_from([0.0, 0.5])),
+        batch_size=batch_size,
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    matrix = tiny_matrix(n_rows, counts, seed=draw(st.integers(0, 2**32 - 1)))
+    return matrix, shape, config
+
+
 class TestTrain:
+    @given(training_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_tensor_adam_reference_bit_for_bit(self, case):
+        matrix, shape, config = case
+        weights, biases, final_loss = reference_train(matrix, shape, config)
+        net = train(matrix, shape, config)
+        for got, want in zip(net.weights + net.biases, weights + biases, strict=True):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert net.final_loss == final_loss
+
+
     def test_memorizing_a_repeated_row_reduces_loss(self):
         layout = GroupLayout((2, 3))
         row = np.array([1.0, 0.0, 0.0, 1.0, 0.0])

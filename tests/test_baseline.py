@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from semarm import baseline
 from semarm.baseline import (
     FrequentItemset,
     brute_force_implications,
@@ -11,6 +12,7 @@ from semarm.baseline import (
     rules_from_itemsets,
 )
 from semarm.extract import Item, Rule
+from semarm.quality import _popcount
 from semarm.transact import Feature, TransactionTable
 
 from conftest import make_random_table
@@ -89,6 +91,25 @@ class TestMineFrequent:
             for item in itemset:
                 if len(itemset) > 1:
                     assert itemset - {item} in returned
+
+    def test_candidates_with_an_infrequent_subset_are_never_counted(self, monkeypatch):
+        # A0 is in every row; B and C split the rows so that A0B0 and A0C0
+        # are frequent but B0C0 never occurs, and likewise for A0B1 / A0C1
+        features = [Feature(name, "categorical", ["0", "1"]) for name in "ABC"]
+        table = TransactionTable(features, [[0, 0, 1], [0, 0, 1], [0, 1, 0], [0, 1, 0]])
+        calls = []
+
+        def counting_popcount(words):
+            calls.append(words.shape)
+            return _popcount(words)
+
+        monkeypatch.setattr(baseline, "_popcount", counting_popcount)
+        itemsets = mine_frequent(table, 0.5)
+        # one call for all items, 8 two-item candidates, and of the four
+        # three-item joins only A0B0C1 and A0B1C0 have every subset frequent
+        assert len(calls) == 1 + 8 + 2
+        assert {len(s.items) for s in itemsets} == {1, 2, 3}
+        assert len(itemsets) == 5 + 6 + 2
 
     def test_max_size_caps_cardinality(self):
         rng = np.random.default_rng(17)

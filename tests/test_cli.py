@@ -223,6 +223,58 @@ class TestMalformedGraph:
         assert part in single_data_error(capsys)
 
 
+def _coupled_baseline(rules):
+    def argv(csv, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(rules))
+        return ["baseline", "--sensors", csv, "--out", tmp_path, "--coupled", "--rules", path]
+    return argv
+
+
+def _synth(planted):
+    return lambda csv, tmp_path: ["synth", "--out", tmp_path, "--rows", 20, "--planted", planted]
+
+
+def _mine_after_editing(name, mutate):
+    def argv(csv, tmp_path):
+        out = tmp_path / "run"
+        assert run("train", "--sensors", csv, "--out", out, "--epochs", 1) == 0
+        doc = json.loads((out / name).read_text())
+        (out / name).write_text(json.dumps(mutate(doc)))
+        return ["mine", "--sensors", csv, "--model", out / "model.json", "--out", out]
+    return argv
+
+
+S1_A = {"feature": "s1", "class": "a"}
+
+
+class TestMalformedJsonInput:
+    @pytest.mark.parametrize("argv, part", [
+        (_coupled_baseline([1]), "rule 0 must be an object"),
+        (_coupled_baseline([{"antecedent": "s1", "consequent": S1_A}]), "rule 0 antecedent"),
+        (_coupled_baseline([{"antecedent": [S1_A], "consequent": "s2"}]), "rule 0 items"),
+        (_coupled_baseline([{"antecedent": [{"feature": ["s1"], "class": "a"}],
+                             "consequent": S1_A}]), "unknown feature or class"),
+        (_synth("[1]"), "planted rule 0 must be an object"),
+        (_synth("5"), "planted rules must be a JSON array"),
+        (_synth('[{"antecedent": 5, "consequent": [1, 1]}]'), "planted rule 0"),
+        (_mine_after_editing("manifest.json", lambda doc: {**doc, "pipeline": 3}), "pipeline"),
+        (_mine_after_editing("manifest.json", lambda doc: [doc]), "manifest"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "config": [1]}), "model config"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "config": {"epoch": 1}}),
+         "model config"),
+        (_mine_after_editing("model.json", lambda doc: [doc]), "model document"),
+    ], ids=["rule-number", "antecedent-string", "consequent-string", "item-feature-list",
+            "planted-rule-number", "planted-number", "planted-antecedent-number",
+            "pipeline-number", "manifest-list", "config-list", "config-unknown-key",
+            "model-list"])
+    def test_is_named_data_error(self, small_csv, tmp_path, capsys, argv, part):
+        args = argv(small_csv, tmp_path)
+        capsys.readouterr()
+        assert run(*args) == 3
+        assert part in single_data_error(capsys)
+
+
 class TestMine:
     def test_unknown_mark_feature_is_named(self, small_csv, tmp_path, capsys):
         out = tmp_path / "run"

@@ -150,6 +150,21 @@ class TestLoadGraph:
         assert dump_graph(graph2, ontology2, binding2) == text
 
 
+class TestHopRings:
+    def test_water_rings_from_each_end(self, water):
+        graph, _, _ = water
+        assert list(graph.hop_rings("p1")) == [["p1"], ["j2"], ["p3"]]
+        assert list(graph.hop_rings("j2")) == [["j2"], ["p1", "p3"]]
+
+    def test_rings_ignore_edge_direction_and_stop_at_the_component(self):
+        graph = PropertyGraph(
+            node_ids={"a", "b", "c", "d", "lone"},
+            edge_endpoints={"e1": ("b", "a"), "e2": ("a", "c"), "e3": ("d", "b"), "e4": ("c", "b")},
+        )
+        assert list(graph.hop_rings("a")) == [["a"], ["b", "c"], ["d"]]
+        assert list(graph.hop_rings("lone")) == [["lone"]]
+
+
 class TestSemanticItems:
     def test_depth_zero_returns_type_and_own_properties(self, water):
         graph, _, binding = water
@@ -206,6 +221,16 @@ class TestSemanticItems:
         second = semantic_items_for_sensor(graph, binding, "s2", 2)
         assert first == second
         assert first == sorted(first, key=lambda kv: (kv[0], str(kv[1])))
+
+    def test_number_and_string_with_the_same_text_sort_number_first(self):
+        graph = PropertyGraph(
+            node_ids={"s", "a", "b"},
+            edge_endpoints={"e1": ("s", "a"), "e2": ("s", "b")},
+            labels={"a": {"Pipe"}, "b": {"Pipe"}},
+            properties={"a": {"length": "1"}, "b": {"length": 1}},
+        )
+        items = semantic_items_for_sensor(graph, Binding({"x": "s"}), "x", 1)
+        assert items == [("hop1.Pipe.length", 1), ("hop1.Pipe.length", "1")]
 
     def test_unbound_sensor_raises(self, water):
         graph, _, binding = water
