@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -316,24 +317,54 @@ def model_to_doc(net: TrainedAutoencoder) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_INTEGERS = (lambda v: type(v) is list and all(type(i) is int for i in v), "an array of integers")
+# The JSON type of each entry of a model document other than the parameter
+# arrays and, by its field's annotation, of each entry of its training config.
+_DOC_TYPES = {
+    "input_dim": _INTEGER, "encoder_dims": _INTEGERS, "decoder_dims": _INTEGERS,
+    "class_counts": _INTEGERS, "rng_seed": _INTEGER,
+    "final_loss": (lambda v: v is None or _is_number(v), "a number or null"),
+}
+_CONFIG_TYPES = {"int": _INTEGER, "float": (_is_number, "a number")}
+
+
+def _float_arrays(doc: dict, key: str) -> list[np.ndarray]:
+    try:
+        return [np.asarray(a, dtype=np.float64) for a in doc[key]]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model '{key}' must be an array of arrays of numbers") from exc
+
+
 def model_from_doc(doc: dict) -> TrainedAutoencoder:
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
     config = doc["config"]
     if not isinstance(config, dict) or not config.keys() <= {f.name for f in fields(TrainingConfig)}:
         raise ValueError("model config must be an object of TrainingConfig fields")
+    for field in fields(TrainingConfig):
+        accepts, noun = _CONFIG_TYPES[field.type]
+        if field.name in config and not accepts(config[field.name]):
+            raise ValueError(f"model config '{field.name}' must be {noun}")
+    for key, (accepts, noun) in _DOC_TYPES.items():
+        if not accepts(doc.get(key)):
+            raise ValueError(f"model '{key}' must be {noun}")
     shape = NetworkShape(
-        input_dim=int(doc["input_dim"]),
+        input_dim=doc["input_dim"],
         encoder_dims=tuple(doc["encoder_dims"]),
         decoder_dims=tuple(doc["decoder_dims"]),
         group_layout=GroupLayout(tuple(doc["class_counts"])),
     )
     return TrainedAutoencoder(
         shape,
-        [np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        [np.asarray(b, dtype=np.float64) for b in doc["biases"]],
+        _float_arrays(doc, "weights"),
+        _float_arrays(doc, "biases"),
         TrainingConfig(**config),
-        int(doc["rng_seed"]),
+        doc["rng_seed"],
         doc.get("final_loss"),
     )
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import islice
 from pathlib import Path
 
@@ -40,39 +40,80 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser):
+def _json_text(text: str) -> str:
+    """Type of a flag that takes JSON text; a config file may hold the value itself."""
+    return text
+
+
+# The JSON type a config file or manifest must give an option, by the type its flag declares.
+_JSON_TYPES = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max,
+            "a number"),
+    bool: (lambda v: type(v) is bool, "a boolean"),
+    str: (lambda v: type(v) is str, "a string"),
+    list: (lambda v: type(v) is list and all(type(s) is str for s in v), "an array of strings"),
+    _json_text: (lambda v: type(v) in (str, list), "JSON text or an array"),
+}
+
+
+def _checked(value, kind, name: str):
+    """``value`` from a JSON document, checked to have the JSON type of ``kind``."""
+    accepts, noun = _JSON_TYPES[kind]
+    if not accepts(value):
+        raise ValueError(f"{name} must be {noun}")
+    return float(value) if kind is float else value
+
+
+def _typed(options, source: str, doc, sep: str = "-") -> dict:
+    """Entries of JSON object ``doc`` naming an option of ``options`` (words joined by
+    ``sep``), by dest, each checked against the type its flag declares; others are ignored."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source} must be a JSON object")
+    typed = {}
+    for action in options._actions:
+        key = action.dest.replace("_", sep)
+        if key in doc and action.dest != "help":
+            kind = list if action.nargs == "+" else bool if action.nargs == 0 else action.type or str
+            typed[action.dest] = _checked(doc[key], kind, f"{source} '{key}'")
+    return typed
+
+
+def _add_common(parser, run):
+    parser.set_defaults(run=run, options=parser)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory", default=None)
+    parser.add_argument("--out", help="output directory", default=".")
 
 
 def _add_pipeline_flags(parser):
     parser.add_argument("--sensors", help="sensor readings CSV")
     parser.add_argument("--graph", help="graph JSON (required with --enrich)")
-    parser.add_argument("--window-seconds", type=float)
-    parser.add_argument("--intervals", type=int)
-    parser.add_argument("--enrich", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--depth", type=int)
+    parser.add_argument("--window-seconds", type=float, default=60.0)
+    parser.add_argument("--intervals", type=int, default=transact.DEFAULT_INTERVALS)
+    parser.add_argument("--enrich", action=argparse.BooleanOptionalAction, default=False)
+    parser.add_argument("--depth", type=int, default=1)
     parser.add_argument("--sample-sensors", type=int, help="graph-walk sample size")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's parser sets ``run``, its command, and ``options``, itself."""
     parser = _Parser(prog="semarm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted rules")
-    _add_common(p)
+    _add_common(p, cmd_synth)
     p.add_argument("--rows", type=int)
     p.add_argument("--features", type=int)
     p.add_argument("--classes", type=int)
     p.add_argument("--noise-rate", type=float)
     p.add_argument("--zones", type=int)
     p.add_argument("--window-seconds", type=int)
-    p.add_argument("--planted", help="JSON list of planted rules")
+    p.add_argument("--planted", type=_json_text, help="JSON list of planted rules")
     p.add_argument("--exclusive-consequents", action=argparse.BooleanOptionalAction)
 
     p = sub.add_parser("train", help="train the autoencoder on pipeline output")
-    _add_common(p)
+    _add_common(p, cmd_train)
     _add_pipeline_flags(p)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--epochs", type=int)
@@ -81,8 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
 
     p = sub.add_parser("mine", help="extract rules from a trained model")
-    _add_common(p)
+    _add_common(p, cmd_mine)
     _add_pipeline_flags(p)
+    # unless given, taken from the manifest the model was trained with
+    p.set_defaults(window_seconds=None, intervals=None, enrich=None, depth=None)
     p.add_argument("--model", help="model JSON written by train")
     p.add_argument("--manifest", help="manifest path (default: manifest.json beside the model)")
     p.add_argument("--similarity-threshold", type=float)
@@ -90,17 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mark-features", help="comma-separated feature names to mark")
 
     p = sub.add_parser("baseline", help="run the exhaustive miner")
-    _add_common(p)
+    _add_common(p, cmd_baseline)
     _add_pipeline_flags(p)
     p.add_argument("--min-support", type=float)
-    p.add_argument("--coupled", action="store_true", default=None,
-                   help="derive min support from a rules file")
+    p.add_argument("--coupled", action="store_true", help="derive min support from a rules file")
     p.add_argument("--rules", help="rules JSON for --coupled")
-    p.add_argument("--min-confidence", type=float)
-    p.add_argument("--max-antecedents", type=int)
+    p.add_argument("--min-confidence", type=float, default=0.8)
+    p.add_argument("--max-antecedents", type=int, default=2)
 
     p = sub.add_parser("compare", help="compare report files side by side")
-    _add_common(p)
+    _add_common(p, cmd_compare)
     p.add_argument("--left", nargs="+", help="report JSON files (macro-averaged)")
     p.add_argument("--right", nargs="+", help="report JSON files (macro-averaged)")
     p.add_argument("--left-label", default="left")
@@ -109,29 +151,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Settings:
-    """Flag > config-file > default resolution for one subcommand run."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = {}
-        if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                self.config = json.load(fh)
-            if not isinstance(self.config, dict):
-                raise ValueError("config file must hold a JSON object")
-
-    def get(self, key: str, default=None, required: bool = False):
-        value = getattr(self.args, key.replace("-", "_"), None)
-        if value is None:
-            value = self.config.get(key, default)
-        if value is None and required:
-            raise UsageError(f"missing required option --{key}")
-        return value
+def _required(value, flag: str):
+    if value is None:
+        raise UsageError(f"missing required option {flag}")
+    return value
 
 
-def _out_dir(settings) -> Path:
-    out = Path(settings.get("out", "."))
+def _from_options(cls, args, **values):
+    """``cls`` from ``values`` and the like-named options; a field left None keeps its default."""
+    for field in fields(cls):
+        values.setdefault(field.name, getattr(args, field.name, None))
+    return cls(**{name: value for name, value in values.items() if value is not None})
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -174,43 +208,36 @@ def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
     return sorted(islice(along, max(count, 0)))
 
 
-def _build_table(settings, keep_sensors=None):
+def _build_table(args, keep_sensors=None):
     """Shared ingestion path: CSV -> aggregate -> (optional) enrich -> table."""
-    with open(settings.get("sensors", required=True), "r", encoding="utf-8") as fh:
+    with open(_required(args.sensors, "--sensors"), "r", encoding="utf-8") as fh:
         series = transact.load_sensor_csv(fh)
-    window = float(settings.get("window-seconds", 60.0))
-    intervals = int(settings.get("intervals", transact.DEFAULT_INTERVALS))
-    enrich = bool(settings.get("enrich", False))
-    depth = int(settings.get("depth", 1))
-
     graph = ontology = binding = None
-    graph_path = settings.get("graph")
-    if graph_path:
-        with open(graph_path, "r", encoding="utf-8") as fh:
+    if args.graph:
+        with open(args.graph, "r", encoding="utf-8") as fh:
             graph, ontology, binding = load_graph(fh)
 
-    sample = settings.get("sample-sensors")
-    if keep_sensors is None and sample is not None:
+    if keep_sensors is None and args.sample_sensors is not None:
         if graph is None:
             raise ValueError("--sample-sensors needs --graph")
-        keep_sensors = _sample_sensor_walk(graph, binding, int(sample), int(settings.get("seed", 0)))
+        keep_sensors = _sample_sensor_walk(graph, binding, args.sample_sensors, args.seed or 0)
     if keep_sensors is not None:
         series = series.select(keep_sensors)
         if not series.timestamps.size:
             raise ValueError("sensor selection removed every reading")
 
-    aggregated = transact.aggregate(series, window)
+    aggregated = transact.aggregate(series, args.window_seconds)
     enrichment = None
-    if enrich:
+    if args.enrich:
         if graph is None:
             raise ValueError("--enrich needs --graph")
-        enrichment = transact.Enrichment(graph, binding, depth=depth)
-    table = transact.build_transactions(aggregated, enrichment, intervals)
+        enrichment = transact.Enrichment(graph, binding, depth=args.depth)
+    table = transact.build_transactions(aggregated, enrichment, args.intervals)
     pipeline = {
-        "window_seconds": window,
-        "intervals": intervals,
-        "enrich": enrich,
-        "depth": depth,
+        "window_seconds": args.window_seconds,
+        "intervals": args.intervals,
+        "enrich": args.enrich,
+        "depth": args.depth,
         "sensors": aggregated.sensors,
     }
     return table, pipeline
@@ -228,14 +255,14 @@ def _feature_docs(features) -> list[dict]:
     ]
 
 
-def cmd_synth(settings) -> int:
-    planted_raw = settings.get("planted", [])
-    if isinstance(planted_raw, str):
-        planted_raw = json.loads(planted_raw)
-    if not isinstance(planted_raw, list):
+def _planted_rules(raw) -> tuple[synth.PlantedRule, ...]:
+    """Planted rules from ``--planted`` JSON text or a config file's array."""
+    if isinstance(raw, str):
+        raw = json.loads(raw)
+    if not isinstance(raw, list):
         raise ValueError("planted rules must be a JSON array")
     planted = []
-    for i, rule in enumerate(planted_raw):
+    for i, rule in enumerate(raw):
         if not isinstance(rule, dict):
             raise ValueError(f"planted rule {i} must be an object")
         try:
@@ -246,43 +273,32 @@ def cmd_synth(settings) -> int:
             ))
         except TypeError as exc:  # a number where a list belongs, or the reverse
             raise ValueError(f"planted rule {i}: {exc}") from exc
-    spec = synth.SyntheticSpec(
-        features=int(settings.get("features", 10)),
-        classes_per_feature=int(settings.get("classes", 4)),
-        rows=int(settings.get("rows", 1000)),
-        planted=tuple(planted),
-        noise_rate=float(settings.get("noise-rate", 0.0)),
-        seed=int(settings.get("seed", 0)),
-        exclusive_consequents=bool(settings.get("exclusive-consequents", True)),
-        zones=int(settings.get("zones", 2)),
-        window_seconds=int(settings.get("window-seconds", 60)),
-    )
-    out = _out_dir(settings)
+    return tuple(planted)
+
+
+def cmd_synth(args) -> int:
+    planted = None if args.planted is None else _planted_rules(args.planted)
+    spec = _from_options(synth.SyntheticSpec, args,
+                         classes_per_feature=args.classes, planted=planted)
+    out = _out_dir(args)
     synth.write_dataset(spec, out / "sensors.csv", out / "graph.json")
     print(f"wrote {out / 'sensors.csv'} and {out / 'graph.json'} "
           f"({spec.rows} rows, {spec.features} sensors, {len(spec.planted)} planted rules)")
     return EXIT_OK
 
 
-def cmd_train(settings) -> int:
+def cmd_train(args) -> int:
     started = time.perf_counter()
-    table, pipeline = _build_table(settings)
+    table, pipeline = _build_table(args)
     ingest_seconds = time.perf_counter() - started
     started = time.perf_counter()
     matrix = transact.one_hot_encode(table)
-    config = autonet.TrainingConfig(
-        learning_rate=float(settings.get("learning-rate", 5e-3)),
-        epochs=int(settings.get("epochs", 5)),
-        weight_decay=float(settings.get("weight-decay", 2e-8)),
-        noise_factor=float(settings.get("noise-factor", 0.5)),
-        batch_size=int(settings.get("batch-size", 64)),
-        rng_seed=int(settings.get("seed", 0)),
-    )
+    config = _from_options(autonet.TrainingConfig, args, rng_seed=args.seed)
     shape = autonet.NetworkShape.default_for(matrix.layout)
     net = autonet.train(matrix, shape, config)
     train_seconds = time.perf_counter() - started
 
-    out = _out_dir(settings)
+    out = _out_dir(args)
     autonet.save_model(net, out / "model.json")
     manifest = {
         "features": _feature_docs(table.features),
@@ -298,14 +314,16 @@ def cmd_train(settings) -> int:
     return EXIT_OK
 
 
-def _rebuild_from_manifest(settings, manifest):
+def _rebuild_from_manifest(args, manifest):
     if not isinstance(manifest, dict) or not isinstance(manifest["pipeline"], dict):
         raise ValueError("manifest and its pipeline must be JSON objects")
     pipeline = manifest["pipeline"]
-    for key in ("window_seconds", "intervals", "enrich", "depth"):
-        if settings.get(key.replace("_", "-")) is None:
-            settings.config[key.replace("_", "-")] = pipeline[key]
-    table, _ = _build_table(settings, keep_sensors=pipeline["sensors"])
+    recorded = {key: pipeline[key] for key in ("window_seconds", "intervals", "enrich", "depth")}
+    for dest, value in _typed(args.options, "manifest pipeline", recorded, sep="_").items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    sensors = _checked(pipeline["sensors"], list, "manifest pipeline 'sensors'")
+    table, _ = _build_table(args, keep_sensors=sensors)
     if _feature_docs(table.features) != manifest["features"]:
         raise ValueError(
             "model manifest does not match the rebuilt table; "
@@ -314,35 +332,29 @@ def _rebuild_from_manifest(settings, manifest):
     return table
 
 
-def cmd_mine(settings) -> int:
-    model_path = Path(settings.get("model", required=True))
-    manifest_path = settings.get("manifest") or model_path.parent / "manifest.json"
-    manifest = _read_json(manifest_path)
+def cmd_mine(args) -> int:
+    model_path = Path(_required(args.model, "--model"))
+    manifest = _read_json(args.manifest or model_path.parent / "manifest.json")
     net = autonet.load_model(model_path)
-    table = _rebuild_from_manifest(settings, manifest)
+    table = _rebuild_from_manifest(args, manifest)
     if net.shape.group_layout != table.layout():
         raise ValueError("model layout does not match the rebuilt table")
 
     markable = None
-    mark_raw = settings.get("mark-features")
-    if mark_raw:
-        names = [n.strip() for n in str(mark_raw).split(",") if n.strip()]
+    if args.mark_features:
+        names = [n.strip() for n in args.mark_features.split(",") if n.strip()]
         try:
             markable = frozenset(table.feature_index(name) for name in names)
         except KeyError as exc:
             raise ValueError(f"--mark-features: unknown feature {exc}") from exc
-    config = extract.ExtractionConfig(
-        similarity_threshold=float(settings.get("similarity-threshold", 0.8)),
-        max_antecedents=int(settings.get("max-antecedents", 2)),
-        markable_features=markable,
-    )
+    config = _from_options(extract.ExtractionConfig, args, markable_features=markable)
     started = time.perf_counter()
     rules = extract.extract_rules(net, config)
     extract_seconds = time.perf_counter() - started
     report = quality.evaluate(rules, table)
     annotated = [stats.rule for stats in report.per_rule]
 
-    out = _out_dir(settings)
+    out = _out_dir(args)
     _write_outputs(out, "", annotated, report, table.features,
                    timings={"extract_seconds": extract_seconds})
     print(f"wrote {out / 'rules.json'} ({report.rule_count} rules, "
@@ -350,33 +362,28 @@ def cmd_mine(settings) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(settings) -> int:
-    table, _ = _build_table(settings)
-    min_confidence = float(settings.get("min-confidence", 0.8))
-    max_antecedents = int(settings.get("max-antecedents", 2))
-
-    if settings.get("coupled", False):
-        rules_path = settings.get("rules")
-        if not rules_path:
+def cmd_baseline(args) -> int:
+    table, _ = _build_table(args)
+    if args.coupled:
+        if not args.rules:
             raise UsageError("--coupled needs --rules <rules JSON from a mine run>")
-        with open(rules_path, "r", encoding="utf-8") as fh:
+        with open(args.rules, "r", encoding="utf-8") as fh:
             reference_rules = extract.rules_from_json(fh.read(), table.features)
         if not reference_rules:
             raise ValueError("cannot couple the support threshold to an empty rules file")
         min_support = baseline.coupled_support_threshold(reference_rules, table)
+    elif args.min_support is None:
+        raise UsageError("baseline needs --min-support or --coupled")
     else:
-        min_support = settings.get("min-support")
-        if min_support is None:
-            raise UsageError("baseline needs --min-support or --coupled")
-        min_support = float(min_support)
+        min_support = args.min_support
 
     started = time.perf_counter()
-    itemsets = baseline.mine_frequent(table, min_support, max_size=max_antecedents + 1)
-    rules = baseline.rules_from_itemsets(itemsets, table, min_confidence, max_antecedents)
+    itemsets = baseline.mine_frequent(table, min_support, max_size=args.max_antecedents + 1)
+    rules = baseline.rules_from_itemsets(itemsets, table, args.min_confidence, args.max_antecedents)
     mine_seconds = time.perf_counter() - started
     report = quality.evaluate(rules, table)
 
-    out = _out_dir(settings)
+    out = _out_dir(args)
     _write_outputs(out, "baseline_", rules, report, table.features,
                    min_support=min_support, timings={"mine_seconds": mine_seconds})
     print(f"wrote {out / 'baseline_rules.json'} ({report.rule_count} rules "
@@ -394,6 +401,23 @@ _COMPARE_KEYS = (
 )
 
 
+def _read_report(path) -> dict:
+    """A report for ``compare``, with each entry that it reads checked."""
+    report, name = _read_json(path), f"report {path}"
+    if not isinstance(report, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    for key, _ in _COMPARE_KEYS:
+        if key not in report:
+            raise ValueError(f"{name} has no '{key}'")
+        _checked(report[key], float, f"{name} '{key}'")
+    timings = report.get("timings", {})
+    if not isinstance(timings, dict):
+        raise ValueError(f"{name} 'timings' must be a JSON object")
+    for key, seconds in timings.items():
+        _checked(seconds, float, f"{name} timing '{key}'")
+    return report
+
+
 def _macro_mean(reports: list[dict]) -> dict:
     merged = {key: sum(r[key] for r in reports) / len(reports) for key, _ in _COMPARE_KEYS}
     seconds = [sum(v for k, v in r.get("timings", {}).items() if k.endswith("_seconds"))
@@ -402,15 +426,11 @@ def _macro_mean(reports: list[dict]) -> dict:
     return merged
 
 
-def cmd_compare(settings) -> int:
-    left_paths = settings.get("left", required=True)
-    right_paths = settings.get("right", required=True)
-    left = _macro_mean([_read_json(p) for p in left_paths])
-    right = _macro_mean([_read_json(p) for p in right_paths])
-    left_label = settings.get("left-label", "left")
-    right_label = settings.get("right-label", "right")
+def cmd_compare(args) -> int:
+    left = _macro_mean([_read_report(p) for p in _required(args.left, "--left")])
+    right = _macro_mean([_read_report(p) for p in _required(args.right, "--right")])
 
-    lines = [f"{'metric':<12} {left_label:>12} {right_label:>12} {'delta':>12}"]
+    lines = [f"{'metric':<12} {args.left_label:>12} {args.right_label:>12} {'delta':>12}"]
     lines.append("-" * len(lines[0]))
     for key, label in _COMPARE_KEYS:
         delta = left[key] - right[key]
@@ -421,23 +441,16 @@ def cmd_compare(settings) -> int:
     )
     text = "\n".join(lines) + "\n"
 
-    out = _out_dir(settings)
+    out = _out_dir(args)
     _write_text(out / "compare.txt", text)
     _write_json(
         out / "compare.json",
-        {"left": left, "right": right, "left_label": left_label, "right_label": right_label},
+        {"left": left, "right": right,
+         "left_label": args.left_label, "right_label": args.right_label},
     )
     sys.stdout.write(text)
     return EXIT_OK
 
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "mine": cmd_mine,
-    "baseline": cmd_baseline,
-    "compare": cmd_compare,
-}
 
 _DATA_ERRORS = (
     OSError,
@@ -455,8 +468,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        settings = _Settings(args)
-        return _COMMANDS[args.command](settings)
+        if args.config:  # config values become the defaults that flags override
+            args.options.set_defaults(**_typed(args.options, "config", _read_json(args.config)))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -53,9 +53,9 @@ class SyntheticSpec:
     of features untouched by any planted rule, so targets stay exact.
     """
 
-    features: int
-    classes_per_feature: int
-    rows: int
+    features: int = 10
+    classes_per_feature: int = 4
+    rows: int = 1000
     planted: tuple[PlantedRule, ...] = ()
     noise_rate: float = 0.0
     seed: int = 0

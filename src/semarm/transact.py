@@ -114,37 +114,40 @@ def load_sensor_csv(source) -> SensorSeries:
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     reader = csv.reader(io.StringIO(source), quoting=csv.QUOTE_NONE)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["timestamp", "sensor_id", "value"]:
-        raise ValueError("sensor CSV must start with header 'timestamp,sensor_id,value'")
-    readings: dict[tuple[str, float], float | str] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        ts_text, sensor, raw = (f.strip() for f in row)
-        if not sensor:
-            raise ValueError(f"line {lineno}: empty sensor_id")
-        if not raw:
-            raise ValueError(f"line {lineno}: empty value")
-        try:
-            key = (sensor, _parse_timestamp(ts_text))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if key in readings:
-            raise ValueError(f"line {lineno}: duplicate reading for {key}")
-        if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
-            value: float | str = raw[1:-1]
-        else:
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["timestamp", "sensor_id", "value"]:
+            raise ValueError("sensor CSV must start with header 'timestamp,sensor_id,value'")
+        readings: dict[tuple[str, float], float | str] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            ts_text, sensor, raw = (f.strip() for f in row)
+            if not sensor:
+                raise ValueError(f"line {lineno}: empty sensor_id")
+            if not raw:
+                raise ValueError(f"line {lineno}: empty value")
             try:
-                value = float(raw)
-            except ValueError:
-                value = raw
+                key = (sensor, _parse_timestamp(ts_text))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if key in readings:
+                raise ValueError(f"line {lineno}: duplicate reading for {key}")
+            if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
+                value: float | str = raw[1:-1]
             else:
-                if not math.isfinite(value):
-                    raise ValueError(f"line {lineno}: non-finite value {raw!r}")
-        readings[key] = value
+                try:
+                    value = float(raw)
+                except ValueError:
+                    value = raw
+                else:
+                    if not math.isfinite(value):
+                        raise ValueError(f"line {lineno}: non-finite value {raw!r}")
+            readings[key] = value
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return SensorSeries.from_readings(readings)
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -130,6 +131,8 @@ class TestMalformedCsv:
             ("120,,3.5", "line 4: empty sensor_id"),
             ("120,s1,", "line 4: empty value"),
             (",s1,3.5", "line 4: Invalid isoformat string"),
+            pytest.param("120,s1," + "7" * 131073, "line 4: field larger than field limit",
+                         id="field-over-csv-limit"),
         ],
     )
     def test_bad_field_is_line_numbered_data_error(self, tmp_path, capsys, bad_line, message):
@@ -264,10 +267,26 @@ class TestMalformedJsonInput:
         (_mine_after_editing("model.json", lambda doc: {**doc, "config": {"epoch": 1}}),
          "model config"),
         (_mine_after_editing("model.json", lambda doc: [doc]), "model document"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "input_dim": [1]}),
+         "model 'input_dim' must be an integer"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "encoder_dims": 5}),
+         "model 'encoder_dims' must be an array of integers"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "class_counts": 3}),
+         "model 'class_counts' must be an array of integers"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "class_counts": [["a"]]}),
+         "model 'class_counts' must be an array of integers"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "rng_seed": [0]}),
+         "model 'rng_seed' must be an integer"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "weights": 5}),
+         "model 'weights' must be an array of arrays of numbers"),
+        (_mine_after_editing("model.json",
+                             lambda doc: {**doc, "config": {**doc["config"], "epochs": [1]}}),
+         "model config 'epochs' must be an integer"),
     ], ids=["rule-number", "antecedent-string", "consequent-string", "item-feature-list",
             "planted-rule-number", "planted-number", "planted-antecedent-number",
             "pipeline-number", "manifest-list", "config-list", "config-unknown-key",
-            "model-list"])
+            "model-list", "input-dim-list", "encoder-dims-number", "class-counts-number",
+            "class-counts-nested", "rng-seed-list", "weights-number", "config-epochs-list"])
     def test_is_named_data_error(self, small_csv, tmp_path, capsys, argv, part):
         args = argv(small_csv, tmp_path)
         capsys.readouterr()
@@ -455,6 +474,12 @@ class TestOutputBytes:
             assert report_text == reference({**quality.report_to_doc(report, features), **extra})
 
 
+REPORT = {
+    "rule_count": 2, "mean_support": 0.2, "mean_confidence": 1.0, "mean_coverage": 0.2,
+    "mean_zhang": 0.0, "data_coverage": 1.0, "rules": [], "timings": {"extract_seconds": 1.0},
+}
+
+
 class TestCompare:
     def test_identical_reports_have_zero_deltas(self, dataset, trained, tmp_path):
         assert run("mine", "--sensors", dataset / "sensors.csv",
@@ -485,6 +510,24 @@ class TestCompare:
         assert math.isclose(doc["left"]["mean_support"], 0.3)
         assert doc["right"]["mean_support"] == 0.2
 
+    @pytest.mark.parametrize("mutate, part", [
+        (lambda doc: [doc], "bad.json must be a JSON object"),
+        (lambda doc: {**doc, "mean_support": "x"}, "bad.json 'mean_support' must be a number"),
+        (lambda doc: {**doc, "rule_count": True}, "bad.json 'rule_count' must be a number"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "rule_count"},
+         "bad.json has no 'rule_count'"),
+        (lambda doc: {**doc, "timings": 3}, "bad.json 'timings' must be a JSON object"),
+        (lambda doc: {**doc, "timings": {"extract_seconds": "1"}},
+         "bad.json timing 'extract_seconds' must be a number"),
+    ], ids=["list", "mean-string", "count-bool", "count-missing", "timings-number",
+            "timing-string"])
+    def test_malformed_report_is_named_data_error(self, tmp_path, capsys, mutate, part):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(REPORT))
+        bad.write_text(json.dumps(mutate(copy.deepcopy(REPORT))))
+        assert run("compare", "--left", good, "--right", bad, "--out", tmp_path / "cmp") == 3
+        assert part in single_data_error(capsys)
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
@@ -502,3 +545,133 @@ class TestUsage:
         csv_lines = (out / "sensors.csv").read_text().strip().splitlines()
         # header plus rows * features readings
         assert len(csv_lines) == 1 + 25 * 3
+
+
+def _train_argv(csv, tmp_path):
+    return ["train", "--sensors", csv, "--out", tmp_path / "run"]
+
+
+def _synth_argv(csv, tmp_path):
+    return ["synth", "--out", tmp_path / "data", "--rows", 20, "--features", 3]
+
+
+def _baseline_argv(csv, tmp_path):
+    return ["baseline", "--sensors", csv, "--out", tmp_path / "base"]
+
+
+def _compare_argv(csv, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(REPORT))
+    return ["compare", "--right", report, "--out", tmp_path / "cmp"]
+
+
+class TestConfigFile:
+    """A config file's value must have the JSON type that the option's flag
+    declares; a wrong one is a data error naming the key."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (_train_argv, {"epochs": [1]}, "config 'epochs' must be an integer"),
+        (_train_argv, {"epochs": {}}, "config 'epochs' must be an integer"),
+        (_train_argv, {"epochs": "5"}, "config 'epochs' must be an integer"),
+        (_train_argv, {"epochs": True}, "config 'epochs' must be an integer"),
+        (_train_argv, {"epochs": 5.0}, "config 'epochs' must be an integer"),
+        (_train_argv, {"epochs": None}, "config 'epochs' must be an integer"),
+        (_train_argv, {"seed": "3"}, "config 'seed' must be an integer"),
+        (_synth_argv, {"zones": 1.5}, "config 'zones' must be an integer"),
+        (_synth_argv, {"rows": 10.9}, "config 'rows' must be an integer"),
+        (_train_argv, {"learning-rate": [0.01]}, "config 'learning-rate' must be a number"),
+        (_train_argv, {"learning-rate": {}}, "config 'learning-rate' must be a number"),
+        (_train_argv, {"window-seconds": "60"}, "config 'window-seconds' must be a number"),
+        (_train_argv, {"noise-factor": True}, "config 'noise-factor' must be a number"),
+        (_train_argv, {"enrich": "no"}, "config 'enrich' must be a boolean"),
+        (_train_argv, {"enrich": 0}, "config 'enrich' must be a boolean"),
+        (_baseline_argv, {"coupled": "false", "min-support": 0.1},
+         "config 'coupled' must be a boolean"),
+        (_synth_argv, {"exclusive-consequents": [True]},
+         "config 'exclusive-consequents' must be a boolean"),
+        (_train_argv, {"out": {}}, "config 'out' must be a string"),
+        (_train_argv, {"out": ["run"]}, "config 'out' must be a string"),
+        (_compare_argv, {"left": "report.json"}, "config 'left' must be an array of strings"),
+        (_compare_argv, {"left": [1]}, "config 'left' must be an array of strings"),
+        (_synth_argv, {"planted": 5}, "config 'planted' must be JSON text or an array"),
+        (_synth_argv, {"planted": {}}, "config 'planted' must be JSON text or an array"),
+    ], ids=["int-list", "int-object", "int-string", "int-bool", "int-float", "int-null",
+            "seed-string", "zones-float", "rows-float", "number-list", "number-object",
+            "number-string", "number-bool", "flag-string", "flag-number",
+            "coupled-string", "flag-list", "string-object", "string-list",
+            "strings-string", "strings-numbers", "planted-number", "planted-object"])
+    def test_wrong_type_is_named_data_error(self, small_csv, tmp_path, capsys,
+                                            argv, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run(*argv(small_csv, tmp_path), "--config", path) == 3
+        assert message in single_data_error(capsys)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("intervals", [1], "manifest pipeline 'intervals' must be an integer"),
+        ("enrich", "false", "manifest pipeline 'enrich' must be a boolean"),
+        ("window_seconds", "60", "manifest pipeline 'window_seconds' must be a number"),
+        ("depth", 1.0, "manifest pipeline 'depth' must be an integer"),
+        ("sensors", 5, "manifest pipeline 'sensors' must be an array of strings"),
+        ("sensors", [1], "manifest pipeline 'sensors' must be an array of strings"),
+    ], ids=["intervals-list", "enrich-string", "window-string", "depth-float",
+            "sensors-number", "sensors-numbers"])
+    def test_wrong_manifest_type_is_named_data_error(self, small_csv, tmp_path, capsys,
+                                                     key, value, message):
+        out = tmp_path / "run"
+        assert run("train", "--sensors", small_csv, "--out", out, "--epochs", 1) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["pipeline"][key] = value
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("mine", "--sensors", small_csv, "--model", out / "model.json",
+                   "--out", out) == 3
+        assert message in single_data_error(capsys)
+
+    def test_flag_beats_config_beats_manifest_beats_default(self, tmp_path):
+        # three sensors cycling through a, b, c: a 120 s window keeps two classes each
+        lines = ["timestamp,sensor_id,value"]
+        lines += [f'{w * 60},s{s},"{"abc"[(w + s) % 3]}"' for w in range(12) for s in range(3)]
+        small_csv = tmp_path / "sensors.csv"
+        small_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window-seconds": 120, "intervals": 4, "epochs": 1}))
+        assert run("train", "--sensors", small_csv, "--out", out, "--config", config,
+                   "--intervals", 5) == 0
+        pipeline = json.loads((out / "manifest.json").read_text())["pipeline"]
+        assert (pipeline["window_seconds"], pipeline["intervals"], pipeline["depth"]) == (120.0, 5, 1)
+
+        mine = ["mine", "--sensors", small_csv, "--model", out / "model.json", "--out", out]
+        # the manifest's 120 s window, not the 60 s default, rebuilds the trained table
+        assert run(*mine) == 0
+        # a config window beats the manifest's, so the rebuilt table no longer matches
+        config.write_text(json.dumps({"window-seconds": 60}))
+        assert run(*mine, "--config", config) == 3
+        assert run(*mine, "--config", config, "--window-seconds", 120) == 0
+
+    def test_config_supplies_compare_labels(self, tmp_path):
+        report, config = tmp_path / "report.json", tmp_path / "config.json"
+        report.write_text(json.dumps(REPORT))
+        config.write_text(json.dumps({"left-label": "autoencoder", "right": [str(report)]}))
+        out = tmp_path / "cmp"
+        assert run("compare", "--config", config, "--left", report, "--out", out) == 0
+        doc = json.loads((out / "compare.json").read_text())
+        assert (doc["left_label"], doc["right_label"]) == ("autoencoder", "right")
+        assert "autoencoder" in (out / "compare.txt").read_text()
+
+    def test_train_without_training_options_uses_training_config_defaults(self, small_csv,
+                                                                          tmp_path):
+        out = tmp_path / "run"
+        assert run("train", "--sensors", small_csv, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["training"] == asdict(autonet.TrainingConfig(rng_seed=0))
+
+    def test_unknown_keys_are_ignored_and_numbers_stay_floats(self, small_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min-support": "other commands' key", "learning-rate": 1,
+                                      "epochs": 1}))
+        out = tmp_path / "run"
+        assert run("train", "--sensors", small_csv, "--out", out, "--config", config) == 0
+        training = json.loads((out / "manifest.json").read_text())["training"]
+        assert training["learning_rate"] == 1.0 and isinstance(training["learning_rate"], float)
