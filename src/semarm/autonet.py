@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import jsondoc
 from .transact import EncodedMatrix, GroupLayout
 
 __all__ = [
@@ -317,55 +317,44 @@ def model_to_doc(net: TrainedAutoencoder) -> dict:
     }
 
 
-def _is_number(value) -> bool:
-    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-
-
-_INTEGER = (lambda v: type(v) is int, "an integer")
-_INTEGERS = (lambda v: type(v) is list and all(type(i) is int for i in v), "an array of integers")
-# The JSON type of each entry of a model document other than the parameter
-# arrays and, by its field's annotation, of each entry of its training config.
-_DOC_TYPES = {
-    "input_dim": _INTEGER, "encoder_dims": _INTEGERS, "decoder_dims": _INTEGERS,
-    "class_counts": _INTEGERS, "rng_seed": _INTEGER,
-    "final_loss": (lambda v: v is None or _is_number(v), "a number or null"),
-}
-_CONFIG_TYPES = {"int": _INTEGER, "float": (_is_number, "a number")}
-
-
-def _float_arrays(doc: dict, key: str) -> list[np.ndarray]:
-    try:
-        return [np.asarray(a, dtype=np.float64) for a in doc[key]]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"model '{key}' must be an array of arrays of numbers") from exc
+_VECTOR = jsondoc.array_of(jsondoc.NUMBER, "an array of numbers")
+_ROWS = jsondoc.array_of(_VECTOR, "an array of arrays of numbers")
+_MATRIX = jsondoc.Kind(lambda v: _ROWS.accepts(v) and len(set(map(len, v))) < 2,
+                       "an array of equal-length arrays of numbers")
+_LOSS = jsondoc.Kind(lambda v: v is None or jsondoc.NUMBER.accepts(v), "a number or null")
 
 
 def model_from_doc(doc: dict) -> TrainedAutoencoder:
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    config = doc["config"]
-    if not isinstance(config, dict) or not config.keys() <= {f.name for f in fields(TrainingConfig)}:
+    """The network of a model document, each entry checked to be of its JSON kind."""
+
+    def get(key: str, kind: jsondoc.Kind):
+        return jsondoc.entry(doc, key, kind, "model")
+
+    def parameters(key: str, kind: jsondoc.Kind) -> list[np.ndarray]:
+        return [np.asarray(jsondoc.checked(a, kind, f"model '{key}' {i}"), dtype=np.float64)
+                for i, a in enumerate(get(key, jsondoc.ARRAY))]
+
+    jsondoc.checked(doc, jsondoc.OBJECT, "model")
+    config = get("config", jsondoc.OBJECT)
+    if not config.keys() <= {f.name for f in fields(TrainingConfig)}:
         raise ValueError("model config must be an object of TrainingConfig fields")
     for field in fields(TrainingConfig):
-        accepts, noun = _CONFIG_TYPES[field.type]
-        if field.name in config and not accepts(config[field.name]):
-            raise ValueError(f"model config '{field.name}' must be {noun}")
-    for key, (accepts, noun) in _DOC_TYPES.items():
-        if not accepts(doc.get(key)):
-            raise ValueError(f"model '{key}' must be {noun}")
+        if field.name in config:
+            kind = jsondoc.INTEGER if field.type == "int" else jsondoc.NUMBER
+            jsondoc.entry(config, field.name, kind, "model config")
     shape = NetworkShape(
-        input_dim=doc["input_dim"],
-        encoder_dims=tuple(doc["encoder_dims"]),
-        decoder_dims=tuple(doc["decoder_dims"]),
-        group_layout=GroupLayout(tuple(doc["class_counts"])),
+        input_dim=get("input_dim", jsondoc.INTEGER),
+        encoder_dims=tuple(get("encoder_dims", jsondoc.INTEGERS)),
+        decoder_dims=tuple(get("decoder_dims", jsondoc.INTEGERS)),
+        group_layout=GroupLayout(tuple(get("class_counts", jsondoc.INTEGERS))),
     )
     return TrainedAutoencoder(
         shape,
-        _float_arrays(doc, "weights"),
-        _float_arrays(doc, "biases"),
+        parameters("weights", _MATRIX),
+        parameters("biases", _VECTOR),
         TrainingConfig(**config),
-        doc["rng_seed"],
-        doc.get("final_loss"),
+        get("rng_seed", jsondoc.INTEGER),
+        jsondoc.checked(doc.get("final_loss"), _LOSS, "model 'final_loss'"),
     )
 
 
@@ -380,4 +369,4 @@ def save_model(net: TrainedAutoencoder, path):
 
 def load_model(path) -> TrainedAutoencoder:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_doc(json.load(fh))
+        return model_from_doc(jsondoc.load(fh, f"model {path}"))

@@ -17,13 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autonet, baseline, extract, quality, synth, transact
-from .graph import (
-    GraphFormatError,
-    GraphIntegrityError,
-    UnboundSensorError,
-    load_graph,
-)
+from . import autonet, baseline, extract, jsondoc, quality, synth, transact
+from .graph import load_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,38 +40,33 @@ def _json_text(text: str) -> str:
     return text
 
 
-# The JSON type a config file or manifest must give an option, by the type its flag declares.
-_JSON_TYPES = {
-    int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max,
-            "a number"),
-    bool: (lambda v: type(v) is bool, "a boolean"),
-    str: (lambda v: type(v) is str, "a string"),
-    list: (lambda v: type(v) is list and all(type(s) is str for s in v), "an array of strings"),
-    _json_text: (lambda v: type(v) in (str, list), "JSON text or an array"),
+# The JSON kind a config file or manifest must give an option, by the type its flag declares.
+_OPTION_KINDS = {
+    int: jsondoc.INTEGER,
+    float: jsondoc.NUMBER,
+    bool: jsondoc.BOOLEAN,
+    str: jsondoc.STRING,
+    list: jsondoc.STRINGS,
+    _json_text: jsondoc.Kind(lambda v: jsondoc.STRING.accepts(v) or jsondoc.ARRAY.accepts(v),
+                             "JSON text or an array"),
 }
 
 
-def _checked(value, kind, name: str):
-    """``value`` from a JSON document, checked to have the JSON type of ``kind``."""
-    accepts, noun = _JSON_TYPES[kind]
-    if not accepts(value):
-        raise ValueError(f"{name} must be {noun}")
+def _option_value(action, doc: dict, key: str, part: str):
+    """Entry ``key`` of ``doc``, checked to have the JSON kind of ``action``'s flag."""
+    kind = list if action.nargs == "+" else bool if action.nargs == 0 else action.type or str
+    value = jsondoc.entry(doc, key, _OPTION_KINDS[kind], part)
     return float(value) if kind is float else value
 
 
-def _typed(options, source: str, doc, sep: str = "-") -> dict:
-    """Entries of JSON object ``doc`` naming an option of ``options`` (words joined by
-    ``sep``), by dest, each checked against the type its flag declares; others are ignored."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{source} must be a JSON object")
-    typed = {}
-    for action in options._actions:
-        key = action.dest.replace("_", sep)
-        if key in doc and action.dest != "help":
-            kind = list if action.nargs == "+" else bool if action.nargs == 0 else action.type or str
-            typed[action.dest] = _checked(doc[key], kind, f"{source} '{key}'")
-    return typed
+def _typed(options, doc) -> dict:
+    """Config entries by dest, each of its flag's kind; keys naming no option are ignored."""
+    jsondoc.checked(doc, jsondoc.OBJECT, "config")
+    return {
+        action.dest: _option_value(action, doc, key, "config")
+        for action in options._actions
+        if (key := action.dest.replace("_", "-")) in doc and action.dest != "help"
+    }
 
 
 def _add_common(parser, run):
@@ -93,7 +83,6 @@ def _add_pipeline_flags(parser):
     parser.add_argument("--intervals", type=int, default=transact.DEFAULT_INTERVALS)
     parser.add_argument("--enrich", action=argparse.BooleanOptionalAction, default=False)
     parser.add_argument("--depth", type=int, default=1)
-    parser.add_argument("--sample-sensors", type=int, help="graph-walk sample size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the autoencoder on pipeline output")
     _add_common(p, cmd_train)
     _add_pipeline_flags(p)
+    p.add_argument("--sample-sensors", type=int, help="graph-walk sample size")
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--weight-decay", type=float)
@@ -135,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="run the exhaustive miner")
     _add_common(p, cmd_baseline)
     _add_pipeline_flags(p)
+    p.add_argument("--sample-sensors", type=int, help="graph-walk sample size")
     p.add_argument("--min-support", type=float)
     p.add_argument("--coupled", action="store_true", help="derive min support from a rules file")
     p.add_argument("--rules", help="rules JSON for --coupled")
@@ -179,9 +170,9 @@ def _write_json(path: Path, doc):
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path):
+def _read_json(path, name: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return jsondoc.load(fh, f"{name} {path}")
 
 
 def _write_outputs(out: Path, prefix: str, rules, report, features, **extra):
@@ -215,7 +206,7 @@ def _build_table(args, keep_sensors=None):
     graph = ontology = binding = None
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as fh:
-            graph, ontology, binding = load_graph(fh)
+            graph, ontology, binding = load_graph(fh, f"graph {args.graph}")
 
     if keep_sensors is None and args.sample_sensors is not None:
         if graph is None:
@@ -255,24 +246,24 @@ def _feature_docs(features) -> list[dict]:
     ]
 
 
+_PAIR = jsondoc.Kind(lambda v: jsondoc.INTEGERS.accepts(v) and len(v) == 2, "a pair of integers")
+_PAIRS = jsondoc.array_of(_PAIR, "an array of pairs of integers")
+
+
 def _planted_rules(raw) -> tuple[synth.PlantedRule, ...]:
     """Planted rules from ``--planted`` JSON text or a config file's array."""
-    if isinstance(raw, str):
-        raw = json.loads(raw)
-    if not isinstance(raw, list):
-        raise ValueError("planted rules must be a JSON array")
+    if jsondoc.STRING.accepts(raw):
+        raw = jsondoc.load(raw, "--planted")
     planted = []
-    for i, rule in enumerate(raw):
-        if not isinstance(rule, dict):
-            raise ValueError(f"planted rule {i} must be an object")
-        try:
-            planted.append(synth.PlantedRule(
-                antecedent=tuple((int(f), int(c)) for f, c in rule["antecedent"]),
-                consequent=(int(rule["consequent"][0]), int(rule["consequent"][1])),
-                confidence=float(rule.get("confidence", 1.0)),
-            ))
-        except TypeError as exc:  # a number where a list belongs, or the reverse
-            raise ValueError(f"planted rule {i}: {exc}") from exc
+    for i, rule in enumerate(jsondoc.checked(raw, jsondoc.ARRAY, "planted rules")):
+        part = f"planted rule {i}"
+        jsondoc.checked(rule, jsondoc.OBJECT, part)
+        confidence = rule.get("confidence", 1.0)
+        planted.append(synth.PlantedRule(
+            antecedent=tuple(map(tuple, jsondoc.entry(rule, "antecedent", _PAIRS, part))),
+            consequent=tuple(jsondoc.entry(rule, "consequent", _PAIR, part)),
+            confidence=float(jsondoc.checked(confidence, jsondoc.NUMBER, f"{part} 'confidence'")),
+        ))
     return tuple(planted)
 
 
@@ -315,16 +306,17 @@ def cmd_train(args) -> int:
 
 
 def _rebuild_from_manifest(args, manifest):
-    if not isinstance(manifest, dict) or not isinstance(manifest["pipeline"], dict):
-        raise ValueError("manifest and its pipeline must be JSON objects")
-    pipeline = manifest["pipeline"]
-    recorded = {key: pipeline[key] for key in ("window_seconds", "intervals", "enrich", "depth")}
-    for dest, value in _typed(args.options, "manifest pipeline", recorded, sep="_").items():
+    jsondoc.checked(manifest, jsondoc.OBJECT, "manifest")
+    pipeline = jsondoc.entry(manifest, "pipeline", jsondoc.OBJECT, "manifest")
+    features = jsondoc.entry(manifest, "features", jsondoc.ARRAY, "manifest")
+    actions = {action.dest: action for action in args.options._actions}
+    for dest in ("window_seconds", "intervals", "enrich", "depth"):
+        value = _option_value(actions[dest], pipeline, dest, "manifest pipeline")
         if getattr(args, dest) is None:
             setattr(args, dest, value)
-    sensors = _checked(pipeline["sensors"], list, "manifest pipeline 'sensors'")
+    sensors = jsondoc.entry(pipeline, "sensors", jsondoc.STRINGS, "manifest pipeline")
     table, _ = _build_table(args, keep_sensors=sensors)
-    if _feature_docs(table.features) != manifest["features"]:
+    if _feature_docs(table.features) != features:
         raise ValueError(
             "model manifest does not match the rebuilt table; "
             "re-run train with the current inputs"
@@ -334,7 +326,7 @@ def _rebuild_from_manifest(args, manifest):
 
 def cmd_mine(args) -> int:
     model_path = Path(_required(args.model, "--model"))
-    manifest = _read_json(args.manifest or model_path.parent / "manifest.json")
+    manifest = _read_json(args.manifest or model_path.parent / "manifest.json", "manifest")
     net = autonet.load_model(model_path)
     table = _rebuild_from_manifest(args, manifest)
     if net.shape.group_layout != table.layout():
@@ -368,7 +360,7 @@ def cmd_baseline(args) -> int:
         if not args.rules:
             raise UsageError("--coupled needs --rules <rules JSON from a mine run>")
         with open(args.rules, "r", encoding="utf-8") as fh:
-            reference_rules = extract.rules_from_json(fh.read(), table.features)
+            reference_rules = extract.rules_from_json(fh, table.features, f"rules {args.rules}")
         if not reference_rules:
             raise ValueError("cannot couple the support threshold to an empty rules file")
         min_support = baseline.coupled_support_threshold(reference_rules, table)
@@ -403,18 +395,13 @@ _COMPARE_KEYS = (
 
 def _read_report(path) -> dict:
     """A report for ``compare``, with each entry that it reads checked."""
-    report, name = _read_json(path), f"report {path}"
-    if not isinstance(report, dict):
-        raise ValueError(f"{name} must be a JSON object")
+    name = f"report {path}"
+    report = jsondoc.checked(_read_json(path, "report"), jsondoc.OBJECT, name)
     for key, _ in _COMPARE_KEYS:
-        if key not in report:
-            raise ValueError(f"{name} has no '{key}'")
-        _checked(report[key], float, f"{name} '{key}'")
-    timings = report.get("timings", {})
-    if not isinstance(timings, dict):
-        raise ValueError(f"{name} 'timings' must be a JSON object")
-    for key, seconds in timings.items():
-        _checked(seconds, float, f"{name} timing '{key}'")
+        jsondoc.entry(report, key, jsondoc.NUMBER, name)
+    timings = jsondoc.checked(report.get("timings", {}), jsondoc.OBJECT, f"{name} 'timings'")
+    for key in timings:
+        jsondoc.entry(timings, key, jsondoc.NUMBER, f"{name} timings")
     return report
 
 
@@ -452,16 +439,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-_DATA_ERRORS = (
-    OSError,
-    json.JSONDecodeError,
-    GraphFormatError,
-    GraphIntegrityError,
-    UnboundSensorError,
-    synth.UnsatisfiableSpecError,
-    ValueError,
-    KeyError,
-)
+# Every data error of the package subclasses one of these.
+_DATA_ERRORS = (OSError, ValueError, KeyError)
 
 
 def main(argv=None) -> int:
@@ -469,7 +448,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:  # config values become the defaults that flags override
-            args.options.set_defaults(**_typed(args.options, "config", _read_json(args.config)))
+            args.options.set_defaults(**_typed(args.options, _read_json(args.config, "config")))
             args = parser.parse_args(argv)
         return args.run(args)
     except UsageError as exc:

@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import jsondoc
 from .transact import Feature, GroupLayout
 
 __all__ = [
@@ -315,16 +316,15 @@ def rules_to_json(rules: list[Rule], features: list[Feature]) -> str:
     return rules_array_json(rows, features)
 
 
-def rules_from_json(text, features: list[Feature]) -> list[Rule]:
-    docs = json.loads(text)
-    if not isinstance(docs, list):
-        raise ValueError("rules document must be a JSON array")
+_ITEMS = jsondoc.array_of(jsondoc.OBJECT, "an array of objects")
+
+
+def rules_from_json(source, features: list[Feature], name: str = "rules document") -> list[Rule]:
+    """Rules from a rules document (text or a stream); metrics are taken as they are."""
+    docs = jsondoc.checked(jsondoc.load(source, name), jsondoc.ARRAY, name)
     for i, doc in enumerate(docs):
-        if not isinstance(doc, dict):
-            raise ValueError(f"rule {i} must be an object")
-        if not isinstance(doc.get("antecedent"), list):
-            raise ValueError(f"rule {i} antecedent must be an array")
-        if not all(isinstance(d, dict) for d in [*doc["antecedent"], doc.get("consequent")]):
-            raise ValueError(f"rule {i} items must be objects")
+        jsondoc.checked(doc, jsondoc.OBJECT, f"rule {i}")
+        jsondoc.entry(doc, "antecedent", _ITEMS, f"rule {i}")
+        jsondoc.entry(doc, "consequent", jsondoc.OBJECT, f"rule {i}")
     by_name = _feature_lookup(features)
     return [_rule_from_doc(doc, by_name) for doc in docs]

@@ -8,12 +8,14 @@ the sensor's transactions.
 
 from __future__ import annotations
 
-import io
 import json
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
+
+from . import jsondoc
+from .jsondoc import ARRAY, OBJECT, PROPERTY, STRING, STRINGS
 
 __all__ = [
     "Ontology",
@@ -129,80 +131,45 @@ def validate_schema(graph: PropertyGraph, ontology: Ontology) -> list[SchemaViol
     return violations
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise GraphFormatError(f"{context}: missing key {key!r}")
-    return doc[key]
+_checked = partial(jsondoc.checked, error=GraphFormatError)
+_entry = partial(jsondoc.entry, error=GraphFormatError)
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+def _add_labels_and_props(graph: PropertyGraph, owner_id: str, doc: dict, role: str):
+    """Record the labels and property values of one node or edge document."""
+    owner = f"{role} {owner_id!r}"
+    graph.labels[owner_id] = set(_checked(doc.get("labels", []), STRINGS, f"{owner} labels"))
+    graph.properties[owner_id] = dict(_checked(doc.get("props", {}), OBJECT, f"{owner} props"))
+    for key, value in graph.properties[owner_id].items():
+        _checked(value, PROPERTY, f"{owner} props {key!r}")
 
 
-def _typed(value, kind: type, context: str):
-    if not isinstance(value, kind):
-        raise GraphFormatError(f"{context} must be {_JSON_TYPES[kind]}")
-    return value
-
-
-def _strings(value, context: str) -> list[str]:
-    for item in _typed(value, list, context):
-        _typed(item, str, f"{context} entry {item!r}")
-    return value
-
-
-def _finite_float(number: int | float) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _props(value, context: str) -> dict[str, object]:
-    for key, prop in _typed(value, dict, context).items():
-        if not isinstance(prop, (str, int, float)):
-            raise GraphFormatError(f"{context} {key!r} must be a string, number or boolean")
-        if not isinstance(prop, str) and not _finite_float(prop):
-            raise GraphFormatError(f"{context} {key!r} must be a finite number that fits a float")
-    return dict(value)
-
-
-def load_graph(source) -> tuple[PropertyGraph, Ontology, Binding]:
+def load_graph(source, name: str = "graph document") -> tuple[PropertyGraph, Ontology, Binding]:
     """Parse a graph JSON document into (graph, ontology, binding).
 
     ``source`` may be a JSON string, bytes, or a readable text/binary stream.
-    Raises GraphFormatError for unparseable or malformed documents and
-    GraphIntegrityError for dangling node references.
+    Raises GraphFormatError for unparseable (named ``name``) or malformed
+    documents and GraphIntegrityError for dangling node references.
     """
-    if isinstance(source, (io.IOBase,)) or hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid graph JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object")
-
-    onto_doc = _typed(_require(doc, "ontology", "graph document"), dict, "ontology")
-    relations = _typed(_require(onto_doc, "relations", "ontology"), list, "ontology relations")
+    doc = jsondoc.load(source, name, GraphFormatError)
+    _checked(doc, OBJECT, "graph document")
+    onto_doc = _entry(doc, "ontology", OBJECT, "graph document", "ontology")
+    relations = _entry(onto_doc, "relations", ARRAY, "ontology", "ontology relations")
     for index, relation in enumerate(relations):
         context = f"ontology relation {index}"
-        _typed(relation, dict, context)
-        _typed(_require(relation, "name", context), str, f"{context} name")
+        _checked(relation, OBJECT, context)
+        _entry(relation, "name", STRING, context, f"{context} name")
         for end in ("from", "to"):  # a missing or empty endpoint: no signature
-            _typed(relation.get(end) or "", str, f"{context} {end!r}")
-    owned = _typed(onto_doc.get("owned", {}), dict, "ontology owned")
+            _checked(relation.get(end, ""), STRING, f"{context} {end!r}")
+    owned = _checked(onto_doc.get("owned", {}), OBJECT, "ontology owned")
     ontology = Ontology(
-        classes=set(_strings(_require(onto_doc, "classes", "ontology"), "ontology classes")),
+        classes=set(_entry(onto_doc, "classes", STRINGS, "ontology", "ontology classes")),
         relations={r["name"] for r in relations},
-        properties=set(
-            _strings(_require(onto_doc, "properties", "ontology"), "ontology properties")
-        ),
+        properties=set(_entry(onto_doc, "properties", STRINGS, "ontology", "ontology properties")),
         relation_signature={
             r["name"]: (r["from"], r["to"]) for r in relations if r.get("from") and r.get("to")
         },
-        owned_properties={k: set(_strings(v, f"ontology owned {k!r}")) for k, v in owned.items()},
+        owned_properties={k: set(_entry(owned, k, STRINGS, "ontology owned")) for k in owned},
     )
     try:
         ontology.validate()
@@ -210,22 +177,18 @@ def load_graph(source) -> tuple[PropertyGraph, Ontology, Binding]:
         raise GraphFormatError(f"invalid ontology: {exc}") from exc
 
     graph = PropertyGraph()
-    for index, node in enumerate(_typed(_require(doc, "nodes", "graph document"), list, "nodes")):
+    for index, node in enumerate(_entry(doc, "nodes", ARRAY, "graph document", "nodes")):
         context = f"node {index}"
-        _typed(node, dict, context)
-        node_id = _typed(_require(node, "id", context), str, f"{context} id")
+        _checked(node, OBJECT, context)
+        node_id = _entry(node, "id", STRING, context, f"{context} id")
         if node_id in graph.node_ids:
             raise GraphIntegrityError(f"duplicate node id {node_id!r}")
         graph.node_ids.add(node_id)
-        graph.labels[node_id] = set(_strings(node.get("labels", []), f"node {node_id!r} labels"))
-        graph.properties[node_id] = _props(node.get("props", {}), f"node {node_id!r} props")
-    for index, edge in enumerate(_typed(_require(doc, "edges", "graph document"), list, "edges")):
+        _add_labels_and_props(graph, node_id, node, "node")
+    for index, edge in enumerate(_entry(doc, "edges", ARRAY, "graph document", "edges")):
         context = f"edge {index}"
-        _typed(edge, dict, context)
-        edge_id, src, dst = (
-            _typed(_require(edge, key, context), str, f"{context} {key!r}")
-            for key in ("id", "from", "to")
-        )
+        _checked(edge, OBJECT, context)
+        edge_id, src, dst = (_entry(edge, key, STRING, context) for key in ("id", "from", "to"))
         if edge_id in graph.edge_ids or edge_id in graph.node_ids:
             raise GraphIntegrityError(f"duplicate id {edge_id!r}")
         if src not in graph.node_ids:
@@ -234,12 +197,11 @@ def load_graph(source) -> tuple[PropertyGraph, Ontology, Binding]:
             raise GraphIntegrityError(f"edge {edge_id!r} references missing node {dst!r}")
         graph.edge_ids.add(edge_id)
         graph.edge_endpoints[edge_id] = (src, dst)
-        graph.labels[edge_id] = set(_strings(edge.get("labels", []), f"edge {edge_id!r} labels"))
-        graph.properties[edge_id] = _props(edge.get("props", {}), f"edge {edge_id!r} props")
+        _add_labels_and_props(graph, edge_id, edge, "edge")
 
-    binding = Binding(dict(_typed(_require(doc, "bindings", "graph document"), dict, "bindings")))
+    binding = Binding(dict(_entry(doc, "bindings", OBJECT, "graph document", "bindings")))
     for sensor, node in binding.sensor_to_node.items():
-        if _typed(node, str, f"binding for sensor {sensor!r}") not in graph.node_ids:
+        if _checked(node, STRING, f"binding for sensor {sensor!r}") not in graph.node_ids:
             raise GraphIntegrityError(
                 f"binding for sensor {sensor!r} references missing node {node!r}"
             )

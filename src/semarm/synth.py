@@ -70,17 +70,13 @@ class SyntheticSpec:
             raise UnsatisfiableSpecError("noise_rate must be in [0, 1)")
         if self.zones < 1 or self.window_seconds < 1:
             raise UnsatisfiableSpecError("zones and window_seconds must be positive")
-        planted = tuple(
-            rule if isinstance(rule, PlantedRule) else PlantedRule(**rule)
-            for rule in self.planted
-        )
-        object.__setattr__(self, "planted", planted)
-        for rule in planted:
+        object.__setattr__(self, "planted", tuple(self.planted))
+        for rule in self.planted:
             self._check_rule(rule)
         self._check_conflicts()
         if self.exclusive_consequents:
             per_feature: dict[int, set[int]] = {}
-            for rule in planted:
+            for rule in self.planted:
                 per_feature.setdefault(rule.consequent[0], set()).add(rule.consequent[1])
             for feat, classes in per_feature.items():
                 if len(classes) >= self.classes_per_feature:

@@ -226,10 +226,24 @@ class TestMalformedGraph:
         assert part in single_data_error(capsys)
 
 
+def _json_text(doc) -> str:
+    """``doc`` as JSON, or as it is when a mutation returned raw (say truncated) text."""
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+class TestUnparseableGraph:
+    def test_names_the_file(self, small_csv, tmp_path, capsys):
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_text(json.dumps(WATER_GRAPH)[:20])
+        assert run("train", "--sensors", small_csv, "--graph", graph_path, "--enrich",
+                   "--out", tmp_path / "run", "--epochs", 1) == 3
+        assert f"graph {graph_path}: invalid JSON" in single_data_error(capsys)
+
+
 def _coupled_baseline(rules):
     def argv(csv, tmp_path):
         path = tmp_path / "rules.json"
-        path.write_text(json.dumps(rules))
+        path.write_text(_json_text(rules))
         return ["baseline", "--sensors", csv, "--out", tmp_path, "--coupled", "--rules", path]
     return argv
 
@@ -243,7 +257,7 @@ def _mine_after_editing(name, mutate):
         out = tmp_path / "run"
         assert run("train", "--sensors", csv, "--out", out, "--epochs", 1) == 0
         doc = json.loads((out / name).read_text())
-        (out / name).write_text(json.dumps(mutate(doc)))
+        (out / name).write_text(_json_text(mutate(doc)))
         return ["mine", "--sensors", csv, "--model", out / "model.json", "--out", out]
     return argv
 
@@ -251,22 +265,43 @@ def _mine_after_editing(name, mutate):
 S1_A = {"feature": "s1", "class": "a"}
 
 
+def _set_first_parameter(key, value):
+    def mutate(doc):
+        array = doc[key][0]
+        while isinstance(array[0], list):
+            array = array[0]
+        array[0] = value
+        return doc
+    return mutate
+
+
+def _without(key, within=None):
+    def mutate(doc):
+        owner = doc[within] if within else doc
+        del owner[key]
+        return doc
+    return mutate
+
+
 class TestMalformedJsonInput:
     @pytest.mark.parametrize("argv, part", [
         (_coupled_baseline([1]), "rule 0 must be an object"),
-        (_coupled_baseline([{"antecedent": "s1", "consequent": S1_A}]), "rule 0 antecedent"),
-        (_coupled_baseline([{"antecedent": [S1_A], "consequent": "s2"}]), "rule 0 items"),
+        (_coupled_baseline([{"antecedent": "s1", "consequent": S1_A}]),
+         "rule 0 'antecedent' must be an array of objects"),
+        (_coupled_baseline([{"antecedent": [S1_A], "consequent": "s2"}]),
+         "rule 0 'consequent' must be an object"),
         (_coupled_baseline([{"antecedent": [{"feature": ["s1"], "class": "a"}],
                              "consequent": S1_A}]), "unknown feature or class"),
         (_synth("[1]"), "planted rule 0 must be an object"),
-        (_synth("5"), "planted rules must be a JSON array"),
+        (_synth("5"), "planted rules must be an array"),
         (_synth('[{"antecedent": 5, "consequent": [1, 1]}]'), "planted rule 0"),
         (_mine_after_editing("manifest.json", lambda doc: {**doc, "pipeline": 3}), "pipeline"),
         (_mine_after_editing("manifest.json", lambda doc: [doc]), "manifest"),
-        (_mine_after_editing("model.json", lambda doc: {**doc, "config": [1]}), "model config"),
+        (_mine_after_editing("model.json", lambda doc: {**doc, "config": [1]}),
+         "model 'config' must be an object"),
         (_mine_after_editing("model.json", lambda doc: {**doc, "config": {"epoch": 1}}),
          "model config"),
-        (_mine_after_editing("model.json", lambda doc: [doc]), "model document"),
+        (_mine_after_editing("model.json", lambda doc: [doc]), "model must be an object"),
         (_mine_after_editing("model.json", lambda doc: {**doc, "input_dim": [1]}),
          "model 'input_dim' must be an integer"),
         (_mine_after_editing("model.json", lambda doc: {**doc, "encoder_dims": 5}),
@@ -278,15 +313,46 @@ class TestMalformedJsonInput:
         (_mine_after_editing("model.json", lambda doc: {**doc, "rng_seed": [0]}),
          "model 'rng_seed' must be an integer"),
         (_mine_after_editing("model.json", lambda doc: {**doc, "weights": 5}),
-         "model 'weights' must be an array of arrays of numbers"),
+         "model 'weights' must be an array"),
         (_mine_after_editing("model.json",
                              lambda doc: {**doc, "config": {**doc["config"], "epochs": [1]}}),
          "model config 'epochs' must be an integer"),
+        (_mine_after_editing("model.json", _set_first_parameter("biases", True)),
+         "model 'biases' 0 must be an array of numbers"),
+        (_mine_after_editing("model.json", _set_first_parameter("weights", "0.1")),
+         "model 'weights' 0 must be an array of equal-length arrays of numbers"),
+        (_synth('[{"antecedent": [["0","1"]], "consequent": ["1","0"], "confidence": "1"}]'),
+         "planted rule 0 'antecedent' must be an array of pairs of integers"),
+        (_synth('[{"antecedent": [[0, 1]], "consequent": ["1", "0"]}]'),
+         "planted rule 0 'consequent' must be a pair of integers"),
+        (_synth('[{"antecedent": [[0, 1]], "consequent": [1, 0], "confidence": "1"}]'),
+         "planted rule 0 'confidence' must be a number"),
+        (_synth('[{"antecedent": [[0, 0, 1]], "consequent": [1, 0]}]'),
+         "planted rule 0 'antecedent' must be an array of pairs of integers"),
+        (_synth('[{"consequent": [1, 0]}]'), "planted rule 0: missing key 'antecedent'"),
+        (_synth('[{"antecedent": '), "--planted: invalid JSON"),
+        (_mine_after_editing("manifest.json", _without("pipeline")),
+         "manifest: missing key 'pipeline'"),
+        (_mine_after_editing("manifest.json", _without("features")),
+         "manifest: missing key 'features'"),
+        (_mine_after_editing("manifest.json", _without("sensors", within="pipeline")),
+         "manifest pipeline: missing key 'sensors'"),
+        (_mine_after_editing("model.json", _without("config")), "model: missing key 'config'"),
+        (_mine_after_editing("model.json", lambda doc: json.dumps(doc)[:6]),
+         "model.json: invalid JSON"),
+        (_mine_after_editing("manifest.json", lambda doc: json.dumps(doc)[:6]),
+         "manifest.json: invalid JSON"),
+        (_coupled_baseline("[\n"), "rules.json: invalid JSON"),
     ], ids=["rule-number", "antecedent-string", "consequent-string", "item-feature-list",
             "planted-rule-number", "planted-number", "planted-antecedent-number",
             "pipeline-number", "manifest-list", "config-list", "config-unknown-key",
             "model-list", "input-dim-list", "encoder-dims-number", "class-counts-number",
-            "class-counts-nested", "rng-seed-list", "weights-number", "config-epochs-list"])
+            "class-counts-nested", "rng-seed-list", "weights-number", "config-epochs-list",
+            "bias-true", "weight-string", "planted-strings", "planted-consequent-strings",
+            "planted-confidence-string", "planted-triple", "planted-no-antecedent",
+            "planted-truncated", "manifest-no-pipeline", "manifest-no-features",
+            "manifest-no-sensors", "model-no-config", "model-truncated", "manifest-truncated",
+            "rules-truncated"])
     def test_is_named_data_error(self, small_csv, tmp_path, capsys, argv, part):
         args = argv(small_csv, tmp_path)
         capsys.readouterr()
@@ -511,20 +577,24 @@ class TestCompare:
         assert doc["right"]["mean_support"] == 0.2
 
     @pytest.mark.parametrize("mutate, part", [
-        (lambda doc: [doc], "bad.json must be a JSON object"),
+        (lambda doc: [doc], "bad.json must be an object"),
         (lambda doc: {**doc, "mean_support": "x"}, "bad.json 'mean_support' must be a number"),
         (lambda doc: {**doc, "rule_count": True}, "bad.json 'rule_count' must be a number"),
         (lambda doc: {k: v for k, v in doc.items() if k != "rule_count"},
-         "bad.json has no 'rule_count'"),
-        (lambda doc: {**doc, "timings": 3}, "bad.json 'timings' must be a JSON object"),
+         "bad.json: missing key 'rule_count'"),
+        (lambda doc: {**doc, "timings": 3}, "bad.json 'timings' must be an object"),
         (lambda doc: {**doc, "timings": {"extract_seconds": "1"}},
-         "bad.json timing 'extract_seconds' must be a number"),
+         "bad.json timings 'extract_seconds' must be a number"),
+        (lambda doc: {**doc, "mean_support": math.nan}, "bad.json 'mean_support' must be a number"),
+        (lambda doc: {**doc, "timings": {"extract_seconds": math.inf}},
+         "bad.json timings 'extract_seconds' must be a number"),
+        (lambda doc: json.dumps(doc)[:6], "bad.json: invalid JSON"),
     ], ids=["list", "mean-string", "count-bool", "count-missing", "timings-number",
-            "timing-string"])
+            "timing-string", "mean-nan", "timing-inf", "truncated"])
     def test_malformed_report_is_named_data_error(self, tmp_path, capsys, mutate, part):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps(REPORT))
-        bad.write_text(json.dumps(mutate(copy.deepcopy(REPORT))))
+        bad.write_text(_json_text(mutate(copy.deepcopy(REPORT))))
         assert run("compare", "--left", good, "--right", bad, "--out", tmp_path / "cmp") == 3
         assert part in single_data_error(capsys)
 
@@ -536,6 +606,11 @@ class TestUsage:
 
     def test_unknown_flag_exits_2(self):
         assert run("synth", "--frobnicate") == 2
+
+    def test_mine_has_no_sample_sensors_flag(self, capsys):
+        # mine keeps the sensors its manifest recorded, so it takes no sample size
+        assert run("mine", "--model", "model.json", "--sample-sensors", 1) == 2
+        assert "--sample-sensors" in capsys.readouterr().err
 
     def test_config_file_supplies_defaults_and_flags_override(self, tmp_path):
         config = tmp_path / "config.json"
@@ -595,15 +670,19 @@ class TestConfigFile:
         (_compare_argv, {"left": [1]}, "config 'left' must be an array of strings"),
         (_synth_argv, {"planted": 5}, "config 'planted' must be JSON text or an array"),
         (_synth_argv, {"planted": {}}, "config 'planted' must be JSON text or an array"),
+        (_train_argv, {"learning-rate": math.nan}, "config 'learning-rate' must be a number"),
+        (_train_argv, {"window-seconds": math.inf}, "config 'window-seconds' must be a number"),
+        (_train_argv, '{\n  "epochs": ', "config.json: invalid JSON"),
     ], ids=["int-list", "int-object", "int-string", "int-bool", "int-float", "int-null",
             "seed-string", "zones-float", "rows-float", "number-list", "number-object",
             "number-string", "number-bool", "flag-string", "flag-number",
             "coupled-string", "flag-list", "string-object", "string-list",
-            "strings-string", "strings-numbers", "planted-number", "planted-object"])
+            "strings-string", "strings-numbers", "planted-number", "planted-object",
+            "number-nan", "number-inf", "truncated"])
     def test_wrong_type_is_named_data_error(self, small_csv, tmp_path, capsys,
                                             argv, config, message):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(_json_text(config))
         assert run(*argv(small_csv, tmp_path), "--config", path) == 3
         assert message in single_data_error(capsys)
 
@@ -614,8 +693,9 @@ class TestConfigFile:
         ("depth", 1.0, "manifest pipeline 'depth' must be an integer"),
         ("sensors", 5, "manifest pipeline 'sensors' must be an array of strings"),
         ("sensors", [1], "manifest pipeline 'sensors' must be an array of strings"),
+        ("window_seconds", math.nan, "manifest pipeline 'window_seconds' must be a number"),
     ], ids=["intervals-list", "enrich-string", "window-string", "depth-float",
-            "sensors-number", "sensors-numbers"])
+            "sensors-number", "sensors-numbers", "window-nan"])
     def test_wrong_manifest_type_is_named_data_error(self, small_csv, tmp_path, capsys,
                                                      key, value, message):
         out = tmp_path / "run"

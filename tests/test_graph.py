@@ -101,24 +101,25 @@ class TestLoadGraph:
         (("ontology", "relations", 0, "name"), 5, "ontology relation 0 name must be a string"),
         (("ontology", "relations", 0, "from"), ["Pipe"],
          "ontology relation 0 'from' must be a string"),
-        (("ontology", "classes"), "Pipe", "ontology classes must be an array"),
-        (("ontology", "properties", 0), 5, "ontology properties entry 5 must be a string"),
+        (("ontology", "classes"), "Pipe", "ontology classes must be an array of strings"),
+        (("ontology", "properties", 0), 5, "ontology properties must be an array of strings"),
         (("ontology", "owned"), [], "ontology owned must be an object"),
-        (("ontology", "owned", "Pipe"), "length", "ontology owned 'Pipe' must be an array"),
+        (("ontology", "owned", "Pipe"), "length", "ontology owned 'Pipe' must be an array of strings"),
         (("nodes",), {}, "nodes must be an array"),
         (("nodes", 2), 5, "node 2 must be an object"),
         (("nodes", 0, "id"), 5, "node 0 id must be a string"),
-        (("nodes", 0, "labels"), "Pipe", "node 'p1' labels must be an array"),
+        (("nodes", 0, "labels"), "Pipe", "node 'p1' labels must be an array of strings"),
         (("nodes", 0, "props"), [["length", 850]], "node 'p1' props must be an object"),
         (("nodes", 0, "props", "length"), [850],
          "node 'p1' props 'length' must be a string, number or boolean"),
         (("edges",), {}, "edges must be an array"),
         (("edges", 0), "e1", "edge 0 must be an object"),
         (("edges", 0, "from"), ["p1"], "edge 0 'from' must be a string"),
-        (("edges", 1, "labels", 0), 5, "edge 'e2' labels entry 5 must be a string"),
+        (("edges", 1, "labels", 0), 5, "edge 'e2' labels must be an array of strings"),
         (("edges", 1, "props"), ["order"], "edge 'e2' props must be an object"),
         (("bindings",), [["s1", "p1"]], "bindings must be an object"),
         (("bindings", "s1"), ["p1"], "binding for sensor 's1' must be a string"),
+        (("ontology", "relations", 0, "to"), 0, "ontology relation 0 'to' must be a string"),
     ])
     def test_wrong_json_type_is_named_format_error(self, path, value, message):
         """Each mutation sets ``path`` to ``value``; None deletes it."""
