@@ -7,68 +7,4 @@ association rules from the trained network with marked test vectors. An
 exhaustive miner and exact quality metrics round out the toolkit.
 """
 
-from .autonet import (
-    NetworkShape,
-    TrainedAutoencoder,
-    TrainingConfig,
-    bce_loss,
-    initialize_network,
-    load_model,
-    loss_gradients,
-    save_model,
-    train,
-)
-from .baseline import (
-    FrequentItemset,
-    brute_force_implications,
-    coupled_support_threshold,
-    mine_frequent,
-    rules_from_itemsets,
-)
-from .extract import (
-    ExtractionConfig,
-    Item,
-    Rule,
-    count_test_vectors,
-    equal_prob_vector,
-    extract_rules,
-    generate_test_vectors,
-    rules_from_json,
-    rules_to_json,
-)
-from .graph import (
-    Binding,
-    Ontology,
-    PropertyGraph,
-    SchemaViolation,
-    dump_graph,
-    load_graph,
-    semantic_items_for_sensor,
-    validate_schema,
-)
-from .quality import (
-    RuleQualityReport,
-    confidence,
-    data_coverage,
-    evaluate,
-    rule_coverage,
-    support,
-    zhang,
-)
-from .synth import PlantedRule, SyntheticSpec, build_dataset, generate_classes, spec_to_table
-from .transact import (
-    EncodedMatrix,
-    Enrichment,
-    Feature,
-    GroupLayout,
-    SensorSeries,
-    TransactionTable,
-    aggregate,
-    build_transactions,
-    decode_one_hot,
-    discretize_equal_frequency,
-    load_sensor_csv,
-    one_hot_encode,
-)
-
 __version__ = "0.1.0"

@@ -116,10 +116,10 @@ def rules_from_itemsets(
             continue
         for consequent in items:
             candidates.append(Rule(itemset.items - {consequent}, consequent))
-    supports, confidences, _, zhangs = rule_metrics(*rule_counts(candidates, table), table.n_rows)
+    metrics = rule_metrics(*rule_counts(candidates, table), table.n_rows)
     return [
-        rule.with_metrics(sup, conf, zh)
-        for rule, sup, conf, zh in zip(candidates, supports, confidences, zhangs)
+        rule.with_metrics(sup, conf, zh, cov)
+        for rule, sup, conf, cov, zh in zip(candidates, *metrics)
         if conf >= min_confidence
     ]
 
@@ -176,10 +176,10 @@ def brute_force_implications(
                             rules.append(Rule(antecedent, Item(feat, cls)))
                             counted.append((n_x, n_xy, int(y_mask.sum())))
     n_xs, n_xys, n_ys = np.array(counted, dtype=np.int64).reshape(-1, 3).T
-    supports, confidences, _, zhangs = rule_metrics(n_xs, n_xys, n_ys, n)
+    metrics = rule_metrics(n_xs, n_xys, n_ys, n)
     return [
-        rule.with_metrics(sup, conf, zh)
-        for rule, sup, conf, zh in zip(rules, supports, confidences, zhangs)
+        rule.with_metrics(sup, conf, zh, cov)
+        for rule, sup, conf, cov, zh in zip(rules, *metrics)
     ]
 
 

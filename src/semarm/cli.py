@@ -72,7 +72,6 @@ def _typed(options, doc) -> dict:
 def _add_common(parser, run):
     parser.set_defaults(run=run, options=parser)
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output directory", default=".")
 
 
@@ -92,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted rules")
     _add_common(p, cmd_synth)
+    p.add_argument("--seed", type=int)
     p.add_argument("--rows", type=int)
     p.add_argument("--features", type=int)
     p.add_argument("--classes", type=int)
@@ -104,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the autoencoder on pipeline output")
     _add_common(p, cmd_train)
     _add_pipeline_flags(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--sample-sensors", type=int, help="graph-walk sample size")
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--epochs", type=int)
@@ -125,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="run the exhaustive miner")
     _add_common(p, cmd_baseline)
     _add_pipeline_flags(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--sample-sensors", type=int, help="graph-walk sample size")
     p.add_argument("--min-support", type=float)
-    p.add_argument("--coupled", action="store_true", help="derive min support from a rules file")
-    p.add_argument("--rules", help="rules JSON for --coupled")
+    p.add_argument("--rules", help="rules JSON of a mine run; min support: half their mean")
     p.add_argument("--min-confidence", type=float, default=0.8)
     p.add_argument("--max-antecedents", type=int, default=2)
 
@@ -175,9 +176,11 @@ def _read_json(path, name: str):
         return jsondoc.load(fh, f"{name} {path}")
 
 
-def _write_outputs(out: Path, prefix: str, rules, report, features, **extra):
-    """One route's rules, report (``extra`` as top-level keys) and text report."""
-    _write_text(out / f"{prefix}rules.json", extract.rules_to_json(rules, features) + "\n")
+def _write_outputs(out: Path, prefix: str, report, features, **extra):
+    """One route's rules, report (``extra`` as top-level keys) and text report,
+    each from the report's measured rules."""
+    rules_json = extract.rules_to_json(report.per_rule, features)
+    _write_text(out / f"{prefix}rules.json", rules_json + "\n")
     report_json = quality.report_to_json(report, features, **extra)
     _write_text(out / f"{prefix}report.json", report_json + "\n")
     _write_text(out / f"{prefix}report.txt", quality.format_report(report, features))
@@ -201,7 +204,7 @@ def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
 
 def _build_table(args, keep_sensors=None):
     """Shared ingestion path: CSV -> aggregate -> (optional) enrich -> table."""
-    with open(_required(args.sensors, "--sensors"), "r", encoding="utf-8") as fh:
+    with open(_required(args.sensors, "--sensors"), "rb") as fh:
         series = transact.load_sensor_csv(fh)
     graph = ontology = binding = None
     if args.graph:
@@ -344,10 +347,9 @@ def cmd_mine(args) -> int:
     rules = extract.extract_rules(net, config)
     extract_seconds = time.perf_counter() - started
     report = quality.evaluate(rules, table)
-    annotated = [stats.rule for stats in report.per_rule]
 
     out = _out_dir(args)
-    _write_outputs(out, "", annotated, report, table.features,
+    _write_outputs(out, "", report, table.features,
                    timings={"extract_seconds": extract_seconds})
     print(f"wrote {out / 'rules.json'} ({report.rule_count} rules, "
           f"data coverage {report.data_coverage:.2f})")
@@ -355,19 +357,16 @@ def cmd_mine(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    if (args.rules is None) == (args.min_support is None):
+        raise UsageError("baseline needs exactly one of --min-support and --rules")
     table, _ = _build_table(args)
-    if args.coupled:
-        if not args.rules:
-            raise UsageError("--coupled needs --rules <rules JSON from a mine run>")
+    min_support = args.min_support
+    if args.rules is not None:
         with open(args.rules, "r", encoding="utf-8") as fh:
             reference_rules = extract.rules_from_json(fh, table.features, f"rules {args.rules}")
         if not reference_rules:
             raise ValueError("cannot couple the support threshold to an empty rules file")
         min_support = baseline.coupled_support_threshold(reference_rules, table)
-    elif args.min_support is None:
-        raise UsageError("baseline needs --min-support or --coupled")
-    else:
-        min_support = args.min_support
 
     started = time.perf_counter()
     itemsets = baseline.mine_frequent(table, min_support, max_size=args.max_antecedents + 1)
@@ -376,7 +375,7 @@ def cmd_baseline(args) -> int:
     report = quality.evaluate(rules, table)
 
     out = _out_dir(args)
-    _write_outputs(out, "baseline_", rules, report, table.features,
+    _write_outputs(out, "baseline_", report, table.features,
                    min_support=min_support, timings={"mine_seconds": mine_seconds})
     print(f"wrote {out / 'baseline_rules.json'} ({report.rule_count} rules "
           f"at min support {min_support:.4f})")

@@ -62,6 +62,7 @@ class Rule:
     support: float | None = field(default=None, compare=False)
     confidence: float | None = field(default=None, compare=False)
     zhang: float | None = field(default=None, compare=False)
+    coverage: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.antecedent:
@@ -72,7 +73,8 @@ class Rule:
         if self.consequent.feature in set(features):
             raise ValueError("consequent feature may not appear in the antecedent")
 
-    def with_metrics(self, support: float, confidence: float, zhang: float) -> Rule:
+    def with_metrics(self, support: float, confidence: float, zhang: float,
+                     coverage: float) -> Rule:
         """Copy of this rule carrying measured metrics. It skips the checks
         of ``__post_init__``: its items are this rule's, already checked."""
         copy = object.__new__(Rule)
@@ -82,6 +84,7 @@ class Rule:
             support=support,
             confidence=confidence,
             zhang=zhang,
+            coverage=coverage,
         )
         return copy
 

@@ -22,7 +22,6 @@ from .extract import Item, Rule, rule_to_doc, rules_array_json
 from .transact import Feature, TransactionTable
 
 __all__ = [
-    "RuleStats",
     "RuleQualityReport",
     "support",
     "confidence",
@@ -36,8 +35,12 @@ __all__ = [
     "report_to_doc",
     "report_to_json",
     "format_report",
+    "MAX_REPORT_RULES",
     "REPORT_SCHEMA",
 ]
+
+# Rules listed one per line in the text report; the rest are counted.
+MAX_REPORT_RULES = 50
 
 
 def _metrics(rule: Rule, table: TransactionTable) -> list[float]:
@@ -80,19 +83,11 @@ def zhang(rule: Rule, table: TransactionTable) -> float:
 
 
 @dataclass
-class RuleStats:
-    rule: Rule
-    support: float
-    confidence: float
-    rule_coverage: float
-    zhang: float
-
-
-@dataclass
 class RuleQualityReport:
-    """Per-rule metrics plus set-level aggregates for one rule list."""
+    """The measured rules, each carrying its four metrics, plus set-level
+    aggregates for one rule list."""
 
-    per_rule: list[RuleStats]
+    per_rule: list[Rule]
     rule_count: int
     mean_support: float
     mean_confidence: float
@@ -174,16 +169,14 @@ def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
     """Measure every metric for every rule from one counting pass; empty rule
     lists yield a valid all-zero report.
 
-    Each ``RuleStats.rule`` is a copy of the input rule carrying its measured
-    support, confidence and zhang.
+    ``per_rule`` holds copies of the input rules carrying their measured
+    support, confidence, zhang and coverage.
     """
     rules = list(rules)
     n_x, n_xy, n_y, covered = _count_pass(rules, table)
-    supports, confidences, coverages, zhangs = rule_metrics(n_x, n_xy, n_y, table.n_rows)
-    per_rule = [
-        RuleStats(r.with_metrics(s, c, z), s, c, v, z)
-        for r, s, c, v, z in zip(rules, supports, confidences, coverages, zhangs)
-    ]
+    metrics = rule_metrics(n_x, n_xy, n_y, table.n_rows)
+    supports, confidences, coverages, zhangs = metrics
+    per_rule = [r.with_metrics(s, c, z, v) for r, s, c, v, z in zip(rules, *metrics)]
     count = len(per_rule)
 
     def mean(values):
@@ -201,8 +194,8 @@ def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
 
 
 def annotate_rules(rules, table: TransactionTable) -> list[Rule]:
-    """Copies of the rules with measured support/confidence/zhang attached."""
-    return [stats.rule for stats in evaluate(rules, table).per_rule]
+    """Copies of the rules with their measured metrics attached."""
+    return evaluate(rules, table).per_rule
 
 
 def _aggregates(report: RuleQualityReport) -> dict:
@@ -217,17 +210,8 @@ def _aggregates(report: RuleQualityReport) -> dict:
 
 
 def report_to_doc(report: RuleQualityReport, features: list[Feature]) -> dict:
-    doc = {**_aggregates(report), "rules": []}
-    for stats in report.per_rule:
-        entry = rule_to_doc(stats.rule, features)
-        entry.update(
-            support=stats.support,
-            confidence=stats.confidence,
-            coverage=stats.rule_coverage,
-            zhang=stats.zhang,
-        )
-        doc["rules"].append(entry)
-    return doc
+    rules = [{**rule_to_doc(r, features), "coverage": r.coverage} for r in report.per_rule]
+    return {**_aggregates(report), "rules": rules}
 
 
 def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) -> str:
@@ -240,10 +224,7 @@ def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) 
     fields = []
     for key, value in sorted(doc.items()):
         if value is rules:
-            rows = (
-                (s.rule, s.confidence, s.rule_coverage, s.support, s.zhang)
-                for s in report.per_rule
-            )
+            rows = ((r, r.confidence, r.coverage, r.support, r.zhang) for r in report.per_rule)
             text = rules_array_json(rows, features, depth=1)
         else:
             text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -251,7 +232,7 @@ def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) 
     return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
-def format_report(report: RuleQualityReport, features: list[Feature], max_rules: int = 50) -> str:
+def format_report(report: RuleQualityReport, features: list[Feature]) -> str:
     """Aligned-column text report: aggregates first, then per-rule rows."""
     lines = []
     header = f"{'Rules':>8} {'Support':>9} {'Confidence':>11} {'Coverage':>9} {'Data cov.':>10} {'Zhang':>8}"
@@ -264,13 +245,13 @@ def format_report(report: RuleQualityReport, features: list[Feature], max_rules:
     if report.per_rule:
         lines.append("")
         lines.append(f"{'support':>9} {'conf':>7} {'cover':>7} {'zhang':>7}  rule")
-        for stats in report.per_rule[:max_rules]:
+        for rule in report.per_rule[:MAX_REPORT_RULES]:
             lines.append(
-                f"{stats.support:>9.4f} {stats.confidence:>7.4f} {stats.rule_coverage:>7.4f} "
-                f"{stats.zhang:>7.4f}  {stats.rule.render(features)}"
+                f"{rule.support:>9.4f} {rule.confidence:>7.4f} {rule.coverage:>7.4f} "
+                f"{rule.zhang:>7.4f}  {rule.render(features)}"
             )
-        if report.rule_count > max_rules:
-            lines.append(f"... ({report.rule_count - max_rules} more)")
+        if report.rule_count > MAX_REPORT_RULES:
+            lines.append(f"... ({report.rule_count - MAX_REPORT_RULES} more)")
     return "\n".join(lines) + "\n"
 
 

@@ -107,12 +107,19 @@ def load_sensor_csv(source) -> SensorSeries:
     parsed as decimals, falling back to categorical for non-numeric text.
     Duplicate (sensor, timestamp) keys, empty sensor ids or values,
     unparseable timestamps and non-finite numbers are rejected with the
-    line number.
+    line number. Bytes are decoded as UTF-8 with universal newlines, as a
+    text-mode open reads them, and a byte that is not UTF-8 is named by line.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = source.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
+                             f"({exc.reason})") from None
     reader = csv.reader(io.StringIO(source), quoting=csv.QUOTE_NONE)
     try:
         header = next(reader, None)

@@ -1,7 +1,9 @@
 import copy
 import json
 import math
+import shlex
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,25 @@ class TestMalformedCsv:
         assert err.startswith("error: data: " + message)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_byte_is_line_numbered_data_error(self, tmp_path, capsys, newline):
+        csv_path = tmp_path / "sensors.csv"
+        lines = [b"timestamp,sensor_id,value", b"0,s1,1", b"60,s1,\xff", b"120,s1,2", b""]
+        csv_path.write_bytes(newline.join(lines))
+        code = run("train", "--sensors", csv_path, "--out", tmp_path / "run", "--epochs", 1)
+        assert code == 3
+        assert "line 3: byte 0xff is not UTF-8" in single_data_error(capsys)
+
+    def test_crlf_and_cr_files_train_as_lf_does(self, small_csv, tmp_path):
+        models = []
+        for newline in (b"\n", b"\r\n", b"\r"):
+            csv_path = tmp_path / "sensors.csv"
+            csv_path.write_bytes(small_csv.read_bytes().replace(b"\n", newline))
+            out = tmp_path / f"run{len(models)}"
+            assert run("train", "--sensors", csv_path, "--out", out, "--epochs", 1) == 0
+            models.append((out / "model.json").read_bytes())
+        assert models[1] == models[0] and models[2] == models[0]
+
     def test_sensors_without_a_common_window_name_the_cause(self, tmp_path, capsys):
         csv_path = tmp_path / "sensors.csv"
         csv_path.write_text("timestamp,sensor_id,value\n0,a,1.0\n120,b,2.0\n")
@@ -244,7 +265,7 @@ def _coupled_baseline(rules):
     def argv(csv, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text(_json_text(rules))
-        return ["baseline", "--sensors", csv, "--out", tmp_path, "--coupled", "--rules", path]
+        return ["baseline", "--sensors", csv, "--out", tmp_path, "--rules", path]
     return argv
 
 
@@ -455,7 +476,7 @@ class TestBaseline:
                    "--model", trained / "model.json", "--out", trained) == 0
         out = tmp_path / "coupled"
         assert run("baseline", "--sensors", dataset / "sensors.csv", "--out", out,
-                   "--coupled", "--rules", trained / "rules.json") == 0
+                   "--rules", trained / "rules.json") == 0
         report = json.loads((out / "baseline_report.json").read_text())
 
         series = aggregate(load_sensor_csv((dataset / "sensors.csv").read_text()), 60)
@@ -482,9 +503,10 @@ class TestBaseline:
         }
         assert got == expected
 
-    def test_coupled_without_rules_flag_is_usage_error(self, dataset, tmp_path, capsys):
-        code = run("baseline", "--sensors", dataset / "sensors.csv",
-                   "--out", tmp_path, "--coupled")
+    def test_rules_with_min_support_is_usage_error(self, dataset, tmp_path, capsys):
+        # either one sets the support threshold, so neither may be dropped silently
+        code = run("baseline", "--sensors", dataset / "sensors.csv", "--out", tmp_path,
+                   "--min-support", 0.1, "--rules", tmp_path / "missing.json")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: usage:")
 
@@ -492,7 +514,7 @@ class TestBaseline:
         empty = tmp_path / "empty.json"
         empty.write_text("[]")
         code = run("baseline", "--sensors", dataset / "sensors.csv",
-                   "--out", tmp_path, "--coupled", "--rules", empty)
+                   "--out", tmp_path, "--rules", empty)
         assert code == 3
         assert "empty" in capsys.readouterr().err
 
@@ -607,6 +629,11 @@ class TestUsage:
     def test_unknown_flag_exits_2(self):
         assert run("synth", "--frobnicate") == 2
 
+    @pytest.mark.parametrize("command", ["mine", "compare"])
+    def test_commands_that_draw_nothing_take_no_seed(self, capsys, command):
+        assert run(command, "--seed", 1) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_mine_has_no_sample_sensors_flag(self, capsys):
         # mine keeps the sensors its manifest recorded, so it takes no sample size
         assert run("mine", "--model", "model.json", "--sample-sensors", 1) == 2
@@ -628,10 +655,6 @@ def _train_argv(csv, tmp_path):
 
 def _synth_argv(csv, tmp_path):
     return ["synth", "--out", tmp_path / "data", "--rows", 20, "--features", 3]
-
-
-def _baseline_argv(csv, tmp_path):
-    return ["baseline", "--sensors", csv, "--out", tmp_path / "base"]
 
 
 def _compare_argv(csv, tmp_path):
@@ -660,8 +683,6 @@ class TestConfigFile:
         (_train_argv, {"noise-factor": True}, "config 'noise-factor' must be a number"),
         (_train_argv, {"enrich": "no"}, "config 'enrich' must be a boolean"),
         (_train_argv, {"enrich": 0}, "config 'enrich' must be a boolean"),
-        (_baseline_argv, {"coupled": "false", "min-support": 0.1},
-         "config 'coupled' must be a boolean"),
         (_synth_argv, {"exclusive-consequents": [True]},
          "config 'exclusive-consequents' must be a boolean"),
         (_train_argv, {"out": {}}, "config 'out' must be a string"),
@@ -676,7 +697,7 @@ class TestConfigFile:
     ], ids=["int-list", "int-object", "int-string", "int-bool", "int-float", "int-null",
             "seed-string", "zones-float", "rows-float", "number-list", "number-object",
             "number-string", "number-bool", "flag-string", "flag-number",
-            "coupled-string", "flag-list", "string-object", "string-list",
+            "flag-list", "string-object", "string-list",
             "strings-string", "strings-numbers", "planted-number", "planted-object",
             "number-nan", "number-inf", "truncated"])
     def test_wrong_type_is_named_data_error(self, small_csv, tmp_path, capsys,
@@ -755,3 +776,29 @@ class TestConfigFile:
         assert run("train", "--sensors", small_csv, "--out", out, "--config", config) == 0
         training = json.loads((out / "manifest.json").read_text())["training"]
         assert training["learning_rate"] == 1.0 and isinstance(training["learning_rate"], float)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_session() -> list[list[str]]:
+    """The commands of the fenced block under README's ``## CLI``, each split
+    as a shell splits it, without the leading ``semarm``."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    commands = []
+    for word in shlex.split(block.replace("\\\n", " "), comments=True):
+        if word == "semarm":
+            commands.append([])
+        else:
+            commands[-1].append(word)
+    return commands
+
+
+class TestReadme:
+    def test_cli_session_runs(self, tmp_path, monkeypatch, capsys):
+        commands = readme_session()
+        assert [argv[0] for argv in commands] == ["synth", "train", "mine", "baseline", "compare"]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, capsys.readouterr().err

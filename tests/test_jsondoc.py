@@ -150,7 +150,7 @@ READERS = {
                                       "--model", p["out"] / "model.json", "--manifest", path,
                                       "--out", out],
     "rules": lambda p, path, out: ["baseline", "--sensors", p["csv"], "--graph", p["graph"],
-                                   "--enrich", "--coupled", "--rules", path, "--out", out],
+                                   "--enrich", "--rules", path, "--out", out],
     "report": lambda p, path, out: ["compare", "--left", path, "--right",
                                     p["out"] / "report.json", "--out", out],
     "config": lambda p, path, out: ["synth", "--config", path, "--out", out],

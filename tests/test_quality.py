@@ -10,7 +10,6 @@ from semarm.extract import Item, Rule
 from semarm.quality import (
     REPORT_SCHEMA,
     RuleQualityReport,
-    RuleStats,
     annotate_rules,
     confidence,
     data_coverage,
@@ -340,26 +339,23 @@ class TestCountingKernel:
             table = kernel_table(rng)
             rules = kernel_rules(rng, table)
             report = evaluate(rules, table)
-            columns = {"support": [], "confidence": [], "rule_coverage": [], "zhang": []}
-            for stats, rule in zip(report.per_rule, rules):
+            columns = {"support": [], "confidence": [], "coverage": [], "zhang": []}
+            for measured, rule in zip(report.per_rule, rules):
                 expected = {
                     "support": oracle_support(rule, table),
                     "confidence": oracle_confidence(rule, table),
-                    "rule_coverage": oracle_coverage(rule, table),
+                    "coverage": oracle_coverage(rule, table),
                     "zhang": oracle_zhang(rule, table),
                 }
                 for key, value in expected.items():
-                    assert getattr(stats, key) == value
+                    assert getattr(measured, key) == value
                     columns[key].append(value)
-                assert stats.rule == rule
-                assert (stats.rule.support, stats.rule.confidence, stats.rule.zhang) == (
-                    expected["support"], expected["confidence"], expected["zhang"]
-                )
+                assert measured == rule
             count = len(rules)
             assert report.rule_count == count
             assert report.mean_support == sum(columns["support"]) / count
             assert report.mean_confidence == sum(columns["confidence"]) / count
-            assert report.mean_coverage == sum(columns["rule_coverage"]) / count
+            assert report.mean_coverage == sum(columns["coverage"]) / count
             assert report.mean_zhang == sum(columns["zhang"]) / count
             assert report.data_coverage == oracle_data_coverage(rules, table)
 
@@ -423,7 +419,7 @@ def reports(draw):
     """(report, features, extra): a report over drawn rules with drawn
     metrics, and extra top-level keys like the CLI's."""
     features, rules = draw(rule_lists())
-    per_rule = [RuleStats(rule, *(draw(JSON_NUMBERS) for _ in range(4))) for rule in rules]
+    per_rule = [rule.with_metrics(*(draw(JSON_NUMBERS) for _ in range(4))) for rule in rules]
     report = RuleQualityReport(per_rule, len(per_rule), *(draw(JSON_NUMBERS) for _ in range(5)))
     extra = draw(st.fixed_dictionaries({}, optional={
         "min_support": JSON_NUMBERS,
