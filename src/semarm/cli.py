@@ -205,7 +205,7 @@ def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
 def _build_table(args, keep_sensors=None):
     """Shared ingestion path: CSV -> aggregate -> (optional) enrich -> table."""
     with open(_required(args.sensors, "--sensors"), "rb") as fh:
-        series = transact.load_sensor_csv(fh)
+        series = transact.load_sensor_csv(fh, f"sensors {args.sensors}")
     graph = ontology = binding = None
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as fh:

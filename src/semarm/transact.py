@@ -8,7 +8,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_INTERVALS = 10
+HEADER = ["timestamp", "sensor_id", "value"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,23 +53,29 @@ class SensorSeries:
     def from_readings(cls, readings: dict[tuple[str, float], float | str]) -> SensorSeries:
         """Columns of a (sensor_id, timestamp) -> value mapping, in its order; a
         sensor's values are all floats (measurements) or all strings (states)."""
-        names = [sensor for sensor, _ in readings]
-        sensors = sorted(set(names))
-        index = {s: i for i, s in enumerate(sensors)}
-        sensor = np.array([index[s] for s in names], dtype=np.int64)
-        raw = list(readings.values())
-        vocab = sorted(v for v in set(raw) if isinstance(v, str))
-        code = {v: i for i, v in enumerate(vocab)}
-        codes = np.array([code.get(v, -1) for v in raw], dtype=np.int64)
+        names, name_of = _factorized([name for name, _ in readings])
+        timestamps = np.array([ts for _, ts in readings], dtype=np.float64)
+        return cls._from_columns(names, name_of, timestamps, list(readings.values()),
+                                 np.arange(len(readings)))
+
+    @classmethod
+    def _from_columns(cls, names, name_of, timestamps, values, value_of) -> SensorSeries:
+        """Reading i: distinct sensor ``names[name_of[i]]``, valued ``values[value_of[i]]``."""
+        sensors = sorted(names)
+        rank = {s: i for i, s in enumerate(sensors)}
+        sensor = np.fromiter(map(rank.__getitem__, names), np.int64, len(names))[name_of]
+        vocab = sorted({v for v in values if isinstance(v, str)})
+        codes = np.fromiter(map({v: i for i, v in enumerate(vocab)}.get, values, repeat(-1)),
+                            np.int64, len(values))[value_of]
         numeric = codes < 0
         # each sensor's kind is that of its first reading; name the first reading against it
         _, first = np.unique(sensor, return_index=True)
         mixed = np.flatnonzero(numeric != numeric[first][sensor])
         if mixed.size:
-            raise ValueError(f"sensor {names[mixed[0]]!r} mixes numeric and categorical values")
-        numbers = np.where(numeric, np.array(raw, dtype=object), 0.0).astype(np.float64)
-        timestamps = np.array([ts for _, ts in readings], dtype=np.float64)
-        return cls(sensors, sensor, timestamps, numbers, codes, vocab)
+            raise ValueError(f"sensor {sensors[sensor[mixed[0]]]!r} mixes numeric and "
+                             "categorical values")
+        numbers = np.where(numeric, np.array(values, dtype=object)[value_of], 0.0)
+        return cls(sensors, sensor, timestamps, numbers.astype(np.float64), codes, vocab)
 
     @property
     def readings(self) -> MappingProxyType:
@@ -100,7 +107,27 @@ def _parse_timestamp(text: str) -> float:
     return value
 
 
-def load_sensor_csv(source) -> SensorSeries:
+def _parse_value(raw: str) -> float | str:
+    """A stripped, non-empty value: a number unless quoted or not a decimal."""
+    if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
+        return raw[1:-1]
+    try:
+        value = float(raw)
+    except ValueError:
+        return raw
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
+def _factorized(texts: list[str]):
+    """The distinct texts in first-seen order, and the index of each text."""
+    first: dict[str, int] = {}
+    at = np.fromiter(map(first.setdefault, texts, count()), np.int64, len(texts))
+    return list(first), np.unique(at, return_inverse=True)[1]
+
+
+def load_sensor_csv(source, name: str | None = None) -> SensorSeries:
     """Parse sensor reading CSV with header ``timestamp,sensor_id,value``.
 
     Values wrapped in double quotes are categorical; unquoted values are
@@ -109,21 +136,63 @@ def load_sensor_csv(source) -> SensorSeries:
     unparseable timestamps and non-finite numbers are rejected with the
     line number. Bytes are decoded as UTF-8 with universal newlines, as a
     text-mode open reads them, and a byte that is not UTF-8 is named by line.
+    Every message starts with ``name``, when one is given.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        if isinstance(source, bytes):
+            source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            try:
+                source = source.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = source.count(b"\n", 0, exc.start) + 1
+                raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
+                                 f"({exc.reason})") from None
         try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = source.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
-                             f"({exc.reason})") from None
-    reader = csv.reader(io.StringIO(source), quoting=csv.QUOTE_NONE)
+            return _load_columns(source)
+        except ValueError:  # the per-line loop names the first failing line
+            return _load_lines(source)
+    except ValueError as exc:
+        if name is None:
+            raise
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _load_columns(text: str) -> SensorSeries:
+    """``_load_lines(text)`` built a column at a time; raises ValueError
+    wherever that loop might raise or read ``text`` differently."""
+    text = text.replace("\r\n", "\n")
+    header, _, lines = text.partition("\n")
+    lines = list(filter(None, lines.split("\n")))  # csv skips blank lines
+    # csv ends a record at a lone \r, and before Python 3.11 rejects a NUL
+    if ("\r" in text or "\0" in text or [h.strip() for h in header.split(",")] != HEADER
+            or max(map(len, lines), default=0) > csv.field_size_limit()
+            or list(map(str.count, lines, repeat(","))).count(2) != len(lines)):
+        raise ValueError("not a plain sensor CSV")
+    fields = ",".join(lines).split(",")
+    del lines
+    try:
+        timestamps = np.fromiter(map(float, fields[0::3]), np.float64)
+    except ValueError:  # ISO-8601, or a character that strip() removes and float() keeps
+        timestamps = np.array([_parse_timestamp(t.strip()) for t in fields[0::3]], np.float64)
+    names, name_of = _factorized(list(map(str.strip, fields[1::3])))
+    raws, value_of = _factorized(list(map(str.strip, fields[2::3])))
+    del fields
+    _, moment = np.unique(timestamps, return_inverse=True)  # as dict keys, -0.0 == 0.0
+    if (not np.isfinite(timestamps).all() or "" in names or "" in raws
+            or not np.diff(np.sort(moment * len(names) + name_of)).all()):
+        raise ValueError("a line fails a check")
+    return SensorSeries._from_columns(names, name_of, timestamps,
+                                      list(map(_parse_value, raws)), value_of)
+
+
+def _load_lines(text: str) -> SensorSeries:
+    """The series of ``text`` read line by line, refusing the first line that fails a check."""
+    reader = csv.reader(io.StringIO(text), quoting=csv.QUOTE_NONE)
     try:
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["timestamp", "sensor_id", "value"]:
+        if header is None or [h.strip() for h in header] != HEADER:
             raise ValueError("sensor CSV must start with header 'timestamp,sensor_id,value'")
         readings: dict[tuple[str, float], float | str] = {}
         for lineno, row in enumerate(reader, start=2):
@@ -138,21 +207,11 @@ def load_sensor_csv(source) -> SensorSeries:
                 raise ValueError(f"line {lineno}: empty value")
             try:
                 key = (sensor, _parse_timestamp(ts_text))
+                if key in readings:
+                    raise ValueError(f"duplicate reading for {key}")
+                readings[key] = _parse_value(raw)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            if key in readings:
-                raise ValueError(f"line {lineno}: duplicate reading for {key}")
-            if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
-                value: float | str = raw[1:-1]
-            else:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-                else:
-                    if not math.isfinite(value):
-                        raise ValueError(f"line {lineno}: non-finite value {raw!r}")
-            readings[key] = value
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ValueError(f"line {reader.line_num}: {exc}") from None
     return SensorSeries.from_readings(readings)

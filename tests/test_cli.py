@@ -133,6 +133,9 @@ class TestMalformedCsv:
             ("120,,3.5", "line 4: empty sensor_id"),
             ("120,s1,", "line 4: empty value"),
             (",s1,3.5", "line 4: Invalid isoformat string"),
+            ("120,s1,3.5,x", "line 4: expected 3 fields, got 4"),
+            ("-0.0,s1,3.5", "line 4: duplicate reading for ('s1', -0.0)"),
+            ("120,s1,\"a\"", "sensor 's1' mixes numeric and categorical values"),
             pytest.param("120,s1," + "7" * 131073, "line 4: field larger than field limit",
                          id="field-over-csv-limit"),
         ],
@@ -145,7 +148,7 @@ class TestMalformedCsv:
         code = run("train", "--sensors", csv_path, "--out", tmp_path / "run", "--epochs", 1)
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: data: " + message)
+        assert err.startswith(f"error: data: sensors {csv_path}: {message}")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
@@ -155,7 +158,7 @@ class TestMalformedCsv:
         csv_path.write_bytes(newline.join(lines))
         code = run("train", "--sensors", csv_path, "--out", tmp_path / "run", "--epochs", 1)
         assert code == 3
-        assert "line 3: byte 0xff is not UTF-8" in single_data_error(capsys)
+        assert f"sensors {csv_path}: line 3: byte 0xff is not UTF-8" in single_data_error(capsys)
 
     def test_crlf_and_cr_files_train_as_lf_does(self, small_csv, tmp_path):
         models = []

@@ -1,5 +1,5 @@
 """The one JSON checker: each kind against a spelled-out predicate, and every
-document the CLI reads fuzzed through ``cli.main``."""
+document the CLI reads, the sensor CSV included, fuzzed through ``cli.main``."""
 
 import contextlib
 import io
@@ -209,8 +209,49 @@ def test_malformed_document_exits_0_or_3_with_one_error_line(pipeline, name, dat
         path = Path(scratch) / f"{name}.json"
         path.write_text(text)
         code, err = _cli(READERS[name](pipeline, path, Path(scratch) / "out"))
+    _assert_one_data_error_or_none(code, err)
+
+
+def _assert_one_data_error_or_none(code: int, err: str):
     assert code in (0, 3), err
     if code == 3:
         assert err.startswith("error: data: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+
+
+def _mutated_csv(text: str, data) -> bytes:
+    """The sensor CSV truncated, with a byte that is not UTF-8 inserted, or
+    with one line duplicated, given an extra field, or a field blanked or set
+    to nan."""
+    raw = text.encode()
+    how = data.draw(st.sampled_from(["truncate", "non-utf8", "duplicate", "extra", "blank",
+                                     "nan"]))
+    if how == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if how == "non-utf8":
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + b"\xff" + raw[at:]
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines) - 2))  # the text ends with a newline
+    if how == "duplicate":
+        lines.insert(at, lines[at])
+    elif how == "extra":
+        lines[at] += ",x"
+    else:
+        fields = lines[at].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = "" if how == "blank" else "nan"
+        lines[at] = ",".join(fields)
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_malformed_sensor_csv_exits_0_or_3_with_one_error_line(pipeline, data):
+    raw = _mutated_csv(pipeline["csv"].read_text(), data)
+    with tempfile.TemporaryDirectory(dir=pipeline["root"]) as scratch:
+        path = Path(scratch) / "sensors.csv"
+        path.write_bytes(raw)
+        code, err = _cli(["train", "--sensors", path, "--graph", pipeline["graph"], "--enrich",
+                          "--epochs", 1, "--out", Path(scratch) / "out"])
+    _assert_one_data_error_or_none(code, err)

@@ -1,7 +1,11 @@
+import csv
+import io
 import json
 import math
 import random
+import re
 from collections import Counter
+from datetime import datetime, timezone
 from functools import reduce
 from operator import add
 
@@ -10,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semarm import transact
 from semarm.graph import load_graph
+from semarm.synth import SyntheticSpec, build_dataset
 from semarm.transact import (
     EncodedMatrix,
     Enrichment,
@@ -18,6 +24,7 @@ from semarm.transact import (
     GroupLayout,
     SensorSeries,
     TransactionTable,
+    _parse_timestamp,
     _semantic_features,
     aggregate,
     build_transactions,
@@ -564,3 +571,178 @@ class TestColumnarMatchesOracle:
         assert disc.assignment == assignment
         assert all(type(e) is float for e in disc.edges)
         assert all(type(a) is int for a in disc.assignment)
+
+
+# The per-line sensor-CSV loader and the column building it ended in, as they
+# were before load_sensor_csv built its columns a column at a time.
+
+
+def oracle_load_sensor_csv(source) -> SensorSeries:
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, bytes):
+        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = source.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
+                             f"({exc.reason})") from None
+    reader = csv.reader(io.StringIO(source), quoting=csv.QUOTE_NONE)
+    try:
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["timestamp", "sensor_id", "value"]:
+            raise ValueError("sensor CSV must start with header 'timestamp,sensor_id,value'")
+        readings: dict[tuple[str, float], float | str] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            ts_text, sensor, raw = (f.strip() for f in row)
+            if not sensor:
+                raise ValueError(f"line {lineno}: empty sensor_id")
+            if not raw:
+                raise ValueError(f"line {lineno}: empty value")
+            try:
+                key = (sensor, _parse_timestamp(ts_text))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if key in readings:
+                raise ValueError(f"line {lineno}: duplicate reading for {key}")
+            if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
+                value: float | str = raw[1:-1]
+            else:
+                try:
+                    value = float(raw)
+                except ValueError:
+                    value = raw
+                else:
+                    if not math.isfinite(value):
+                        raise ValueError(f"line {lineno}: non-finite value {raw!r}")
+            readings[key] = value
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return oracle_from_readings(readings)
+
+
+def oracle_from_readings(readings) -> SensorSeries:
+    names = [sensor for sensor, _ in readings]
+    sensors = sorted(set(names))
+    index = {s: i for i, s in enumerate(sensors)}
+    sensor = np.array([index[s] for s in names], dtype=np.int64)
+    raw = list(readings.values())
+    vocab = sorted(v for v in set(raw) if isinstance(v, str))
+    code = {v: i for i, v in enumerate(vocab)}
+    codes = np.array([code.get(v, -1) for v in raw], dtype=np.int64)
+    numeric = codes < 0
+    _, first = np.unique(sensor, return_index=True)
+    mixed = np.flatnonzero(numeric != numeric[first][sensor])
+    if mixed.size:
+        raise ValueError(f"sensor {names[mixed[0]]!r} mixes numeric and categorical values")
+    numbers = np.where(numeric, np.array(raw, dtype=object), 0.0).astype(np.float64)
+    timestamps = np.array([ts for _, ts in readings], dtype=np.float64)
+    return SensorSeries(sensors, sensor, timestamps, numbers, codes, vocab)
+
+
+def csv_outcome(load, source):
+    """A loaded series as its exact columns, or the message it was refused with."""
+    try:
+        s = load(source)
+    except ValueError as exc:
+        return str(exc)
+    return (s.sensors, s.vocab, s.sensor.dtype.str, s.sensor.tobytes(), s.timestamps.tobytes(),
+            s.numbers.tobytes(), s.codes.tobytes())
+
+
+STAMPS = ["0", "-0.0", "60", "60.5", "1e3", "-120", "1970-01-01T00:01:00+00:00"]
+NUMBERS = ["1.5", "-0", "2", "0.1", "1e16", "-3.25"]
+LABELS = ['"a"', '"b"', '"1"', '""', "open", "closed"]
+CSV_FAULTS = ["fields", "empty", "non-finite", "duplicate", "mixed", "iso", "padding",
+              "blank", "crlf", "cr", "non-utf8", "over-limit"]
+
+
+@st.composite
+def sensor_csv(draw):
+    """(source, fault): a sensor CSV as text or bytes, with at most one fault
+    injected into its shuffled data lines."""
+    names = draw(st.lists(st.sampled_from(["s1", "s2", "door", "t4"]), min_size=1, max_size=3,
+                          unique=True))
+    stamps = draw(st.lists(st.sampled_from(STAMPS[:6]), min_size=1, max_size=4,
+                           unique_by=float))
+    rows = []
+    for name in names:
+        pool = draw(st.sampled_from([NUMBERS, LABELS]))
+        rows += [[ts, name, draw(st.sampled_from(pool))] for ts in stamps]
+    rows = draw(st.permutations(rows))
+    fault = draw(st.sampled_from([None, *CSV_FAULTS]))
+    at = draw(st.integers(0, len(rows) - 1))
+    row = rows[at]
+    if fault == "fields":
+        rows[at] = row[:2] if draw(st.booleans()) else row + ["x"]
+    elif fault == "empty":
+        row[draw(st.integers(0, 2))] = draw(st.sampled_from(["", " "]))
+    elif fault == "non-finite":
+        row[draw(st.sampled_from([0, 2]))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif fault == "duplicate":
+        same = {"0": "-0.0", "-0.0": "0"}.get(row[0], row[0])
+        rows.insert(draw(st.integers(0, len(rows))), [same, row[1], row[2]])
+    elif fault == "mixed":
+        row[2] = '"x"' if row[2] in NUMBERS else "7"
+    elif fault == "iso":
+        row[0] = draw(st.sampled_from([STAMPS[6], "1970-01-01 00:01:00", "1970-01-01T00:00:60"]))
+    elif fault == "padding":
+        field = draw(st.integers(0, 2))
+        row[field] = draw(st.sampled_from([" {} ", "\t{}", "{}\x1c"])).format(row[field])
+    elif fault == "over-limit":
+        width = csv.field_size_limit() + draw(st.integers(0, 1))
+        row[2] = draw(st.sampled_from(["7", "a", '"'])) * width
+    lines = ["timestamp,sensor_id,value", *(",".join(r) for r in rows)]
+    if fault == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", " "])))
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(fault, "\n")
+    if fault == "crlf" and draw(st.booleans()):  # one line ending only
+        text = "\n".join(lines[:at + 1]) + "\r\n" + "\n".join(lines[at + 1:]) + "\n"
+    else:
+        text = newline.join(lines) + newline * draw(st.booleans())
+    if fault == "non-utf8":
+        data = text.encode()
+        cut = draw(st.integers(0, len(data)))
+        return data[:cut] + b"\xff" + data[cut:], fault
+    return (text.encode() if draw(st.booleans()) else text), fault
+
+
+class TestSensorCsvMatchesOracle:
+    @given(sensor_csv(), st.sampled_from([None, "sensors f.csv"]))
+    @example((b"timestamp,sensor_id,value\n0,s1,1\n-0.0,s1,2\n", "duplicate"), None)
+    @example(("timestamp,sensor_id,value\n0,s1,1\n60,s1,\"a\"\n", "mixed"), None)
+    @example(("timestamp,sensor_id,value\r\n0,s1,1\r60,s1,2\r\n", "cr"), None)
+    @example(("timestamp,sensor_id,value\n0,s1,a\rb\n", "cr"), None)
+    @example(("timestamp,sensor_id,value\n0,s1," + "a" * 131073, "over-limit"), None)
+    @example(("timestamp,sensor_id,value\n0\x00,s1,1\n", None), "sensors f.csv")
+    @example(("timestamp,sensor_id,value\n", None), None)
+    @settings(max_examples=400, deadline=None)
+    def test_columns_or_message_match_the_per_line_loader(self, drawn, name):
+        source, _ = drawn
+        expected = csv_outcome(oracle_load_sensor_csv, source)
+        if name is not None and isinstance(expected, str):
+            expected = f"{name}: {expected}"
+        assert csv_outcome(lambda s: load_sensor_csv(s, name), source) == expected
+
+    @pytest.mark.parametrize("kind", ["categorical", "numeric", "iso"])
+    def test_valid_input_takes_the_column_path(self, monkeypatch, kind):
+        _, text, _ = build_dataset(SyntheticSpec(4, 3, 50, seed=8))
+        if kind == "numeric":  # s00 and s02 read numbers, s01 and s03 states
+            text = re.sub(r'(s0[02]),"c(\d)"', r"\1,\2.5", text)
+        elif kind == "iso":
+            text = re.sub(r"^(\d+),", lambda m: datetime.fromtimestamp(
+                int(m[1]), timezone.utc).isoformat() + ",", text, flags=re.M)
+        expected = csv_outcome(oracle_load_sensor_csv, text)
+        assert not isinstance(expected, str)
+
+        def refuse(text):
+            raise AssertionError("valid input fell back to the per-line loop")
+
+        monkeypatch.setattr(transact, "_load_lines", refuse)
+        assert csv_outcome(load_sensor_csv, text) == expected
+        assert csv_outcome(load_sensor_csv, text.encode()) == expected
