@@ -4,21 +4,29 @@ The level-wise miner returns exactly the itemsets meeting a support
 threshold (one item per feature, as transactions assign each feature one
 class), and rules are derived with exact integer-count metrics. A naive
 enumeration twin serves as an independent correctness oracle.
+
+Each level of itemsets is a lexicographically sorted matrix of one-hot slots
+with its row counts. Candidates are joined by shared prefix, pruned by
+downward closure and counted on per-item row bitsets (Zaki's ECLAT, TKDE
+2000); every rule reads its counts from the itemsets' counts (Agrawal &
+Srikant, VLDB 1994), with no pass over the table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from .extract import Item, Rule
-from .quality import _popcount, _slot_bits, rule_counts, rule_metrics
-from .transact import TransactionTable
+from .extract import Item, Rule, RuleSet, _row_keys, _slot_features, _slot_items
+from .quality import _CHUNK, _popcount, _slot_bits, rule_counts, rule_metrics
+from .transact import GroupLayout, TransactionTable
 
 __all__ = [
     "FrequentItemset",
+    "FrequentItemsets",
     "mine_frequent",
     "rules_from_itemsets",
     "brute_force_implications",
@@ -34,20 +42,63 @@ class FrequentItemset:
     support: float
 
 
-def _canonical(items) -> tuple[Item, ...]:
-    return tuple(sorted(items))
+@dataclass(frozen=True, eq=False)
+class FrequentItemsets(Sequence):
+    """Frequent itemsets as a sequence of ``FrequentItemset``, by size and
+    then items. ``levels[k - 1]`` is ``(slots, counts)``: the k-itemsets'
+    ascending one-hot slots as rows sorted lexicographically, and their row
+    counts over ``n_rows`` rows."""
+
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    layout: GroupLayout
+    n_rows: int
+
+    def __len__(self) -> int:
+        return sum(len(counts) for _, counts in self.levels)
+
+    def __iter__(self):
+        items = _slot_items(self.layout)
+        for slots, counts in self.levels:
+            for row, count in zip(slots.tolist(), counts.tolist()):
+                yield FrequentItemset(frozenset(items[s] for s in row), count / self.n_rows)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
+def _row_index(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each of ``rows`` in the lexicographically sorted,
+    duplicate-free ``sorted_rows``, or -1 where it is absent."""
+    keys, wanted = _row_keys(sorted_rows), _row_keys(rows)
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return np.where(keys[at] == wanted, at, -1)
+
+
+def _joins(rows: np.ndarray, slot_feature: np.ndarray) -> np.ndarray:
+    """Every row joined with each later row that shares all but its last
+    slot, when the two last slots belong to different features; the joined
+    rows come out sorted."""
+    m = len(rows)
+    # rows sharing a prefix are contiguous: each joins the later rows of its run
+    starts = np.flatnonzero(np.r_[True, (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)])
+    partners = np.repeat(np.r_[starts[1:], m], np.diff(np.r_[starts, m])) - np.arange(m) - 1
+    left = np.repeat(np.arange(m), partners)
+    right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(partners) - partners, partners)
+    apart = slot_feature[rows[left, -1]] != slot_feature[rows[right, -1]]
+    return np.column_stack([rows[left[apart]], rows[right[apart], -1]])
 
 
 def mine_frequent(
     table: TransactionTable,
     min_support: float,
     max_size: int | None = None,
-) -> list[FrequentItemset]:
+) -> FrequentItemsets:
     """All itemsets (one item per feature) with support >= min_support.
 
     Level-wise candidate growth with downward-closure pruning over the
-    per-item row bitsets that ``quality`` counts rules on; supports are exact
-    counts divided by the row count. ``max_size`` caps the itemset
+    per-item row bitsets that ``quality`` counts rules on: only candidates
+    whose every subset is frequent are counted, in chunks, and supports are
+    exact counts divided by the row count. ``max_size`` caps the itemset
     cardinality (rule derivation only ever needs antecedents + 1); the
     default enumerates every frequent itemset.
     """
@@ -55,73 +106,65 @@ def mine_frequent(
         raise ValueError("min_support must be in (0, 1]")
     if max_size is not None and max_size < 1:
         raise ValueError("max_size must be >= 1 when given")
-    n = table.n_rows
+    layout, n = table.layout(), table.n_rows
     if n == 0:
-        return []
-    bits = _slot_bits(table)
-    items = [Item(f, c) for f, k in enumerate(table.layout().class_counts) for c in range(k)]
-    item_bits = dict(zip(items, bits))
-
-    result: list[FrequentItemset] = []
-    level: dict[tuple[Item, ...], np.ndarray] = {}
-    for item, row_bits, count in zip(items, bits, _popcount(bits).tolist()):
-        sup = count / n
-        if sup >= min_support:
-            level[(item,)] = row_bits
-            result.append(FrequentItemset(frozenset((item,)), sup))
-
-    size = 1
-    while level and (max_size is None or size < max_size):
-        size += 1
-        keys = sorted(level)
-        next_level: dict[tuple[Item, ...], np.ndarray] = {}
-        for i, left in enumerate(keys):
-            for right in keys[i + 1 :]:
-                if left[:-1] != right[:-1]:
-                    break  # sorted prefixes diverged, no further joins for `left`
-                last = right[-1]
-                if last.feature == left[-1].feature:
-                    continue  # one class per feature
-                candidate = left + (last,)
-                # dropping either of the last two items gives `left` or `right`
-                if any(candidate[:j] + candidate[j + 1 :] not in level for j in range(size - 2)):
-                    continue
-                row_bits = level[left] & item_bits[last]
-                sup = int(_popcount(row_bits)) / n
-                if sup >= min_support:
-                    next_level[candidate] = row_bits
-                    result.append(FrequentItemset(frozenset(candidate), sup))
-        level = next_level
-    return result
+        return FrequentItemsets((), layout, 0)
+    bits, slot_feature = _slot_bits(table), _slot_features(layout)
+    candidates, levels = np.arange(layout.width)[:, None], []
+    while True:
+        counts = np.zeros(len(candidates), dtype=np.int64)
+        for start in range(0, len(candidates), _CHUNK):
+            rows_bits = bits[candidates[start : start + _CHUNK]]
+            counts[start : start + _CHUNK] = _popcount(np.bitwise_and.reduce(rows_bits, axis=1))
+        frequent = counts / n >= min_support
+        rows = candidates[frequent]
+        levels.append((rows, counts[frequent]))
+        if not len(rows) or len(levels) == max_size:
+            return FrequentItemsets(tuple(levels), layout, n)
+        candidates = _joins(rows, slot_feature)
+        # dropping either of the last two items gives a joined row; check the rest
+        for j in range(rows.shape[1] - 1):
+            candidates = candidates[_row_index(rows, np.delete(candidates, j, axis=1)) >= 0]
 
 
 def rules_from_itemsets(
-    itemsets: list[FrequentItemset],
+    itemsets: FrequentItemsets,
     table: TransactionTable,
     min_confidence: float,
     max_antecedents: int,
-) -> list[Rule]:
+) -> RuleSet:
     """All rules X -> Y with X union Y frequent, a single consequent item,
     at most ``max_antecedents`` antecedent items, and confidence at or above
     the bound. Exact measured metrics are attached to every rule.
+
+    Every count comes from the itemsets: n_xy is the itemset's, n_x its
+    subset's without Y and n_y Y's. Rules come by itemset size, then
+    itemset, then the consequent's position in the itemset.
     """
     if not 0.0 <= min_confidence <= 1.0:
         raise ValueError("min_confidence must be in [0, 1]")
     if max_antecedents < 1:
         raise ValueError("max_antecedents must be >= 1")
-    candidates = []
-    for itemset in sorted(itemsets, key=lambda s: (len(s.items), _canonical(s.items))):
-        items = _canonical(itemset.items)
-        if not 2 <= len(items) <= max_antecedents + 1:
-            continue
-        for consequent in items:
-            candidates.append(Rule(itemset.items - {consequent}, consequent))
-    metrics = rule_metrics(*rule_counts(candidates, table), table.n_rows)
-    return [
-        rule.with_metrics(sup, conf, zh, cov)
-        for rule, sup, conf, cov, zh in zip(candidates, *metrics)
-        if conf >= min_confidence
-    ]
+    layout, levels = itemsets.layout, itemsets.levels[: max_antecedents + 1]
+    parts = []
+    for (subsets, subset_counts), (slots, counts) in zip(levels, levels[1:]):
+        size = slots.shape[1]
+        # each itemset once per consequent position, with that item dropped
+        dropped = np.stack([np.delete(slots, p, axis=1) for p in range(size)], axis=1)
+        dropped = dropped.reshape(-1, size - 1)
+        parts.append((
+            np.pad(dropped, ((0, 0), (0, len(levels) - size)), constant_values=layout.width),
+            slots.ravel(),
+            subset_counts[_row_index(subsets, dropped)],
+            np.repeat(counts, size),
+            levels[0][1][_row_index(levels[0][0], slots.reshape(-1, 1))],
+        ))
+    if not parts:
+        return RuleSet.from_rules([], layout)
+    antecedents, consequents, n_x, n_xy, n_y = map(np.concatenate, zip(*parts))
+    support, confidence, coverage, zhang = rule_metrics(n_x, n_xy, n_y, table.n_rows)
+    rules = RuleSet(antecedents, consequents, layout, support, confidence, zhang, coverage)
+    return rules[confidence >= min_confidence]
 
 
 def _enumeration_size(table: TransactionTable, max_antecedents: int) -> int:
@@ -176,7 +219,7 @@ def brute_force_implications(
                             rules.append(Rule(antecedent, Item(feat, cls)))
                             counted.append((n_x, n_xy, int(y_mask.sum())))
     n_xs, n_xys, n_ys = np.array(counted, dtype=np.int64).reshape(-1, 3).T
-    metrics = rule_metrics(n_xs, n_xys, n_ys, n)
+    metrics = (values.tolist() for values in rule_metrics(n_xs, n_xys, n_ys, n))
     return [
         rule.with_metrics(sup, conf, zh, cov)
         for rule, sup, conf, cov, zh in zip(rules, *metrics)
@@ -186,8 +229,8 @@ def brute_force_implications(
 def coupled_support_threshold(reference_rules, table: TransactionTable) -> float:
     """Support threshold for comparison runs: half the mean measured support
     of the rules the autoencoder route produced."""
-    rules = list(reference_rules)
-    if not rules:
+    rules = RuleSet.from_rules(reference_rules, table.layout())
+    if not len(rules):
         raise ValueError("cannot couple a support threshold to an empty rule list")
     _, n_xy, _ = rule_counts(rules, table)
     mean = sum((n_xy / table.n_rows).tolist()) / len(rules)

@@ -162,13 +162,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_text(path: Path, text: str):
+def _write_text(path: Path, *parts: str):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def _write_json(path: Path, doc):
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True), "\n")
 
 
 def _read_json(path, name: str):
@@ -180,9 +180,9 @@ def _write_outputs(out: Path, prefix: str, report, features, **extra):
     """One route's rules, report (``extra`` as top-level keys) and text report,
     each from the report's measured rules."""
     rules_json = extract.rules_to_json(report.per_rule, features)
-    _write_text(out / f"{prefix}rules.json", rules_json + "\n")
+    _write_text(out / f"{prefix}rules.json", rules_json, "\n")
     report_json = quality.report_to_json(report, features, **extra)
-    _write_text(out / f"{prefix}report.json", report_json + "\n")
+    _write_text(out / f"{prefix}report.json", report_json, "\n")
     _write_text(out / f"{prefix}report.txt", quality.format_report(report, features))
 
 

@@ -5,14 +5,17 @@ is pinned to probability 1 (its siblings to 0) while every other feature
 holds uniform class probabilities. If the network reconstructs every marked
 class at or above the similarity threshold, each unmarked feature whose top
 class clears the threshold becomes a consequent.
+Rule lists travel from the probe to the writers as a columnar ``RuleSet``;
+``Item`` and ``Rule`` stay the scalar model it reads as.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -23,6 +26,7 @@ from .transact import Feature, GroupLayout
 __all__ = [
     "Item",
     "Rule",
+    "RuleSet",
     "ExtractionConfig",
     "equal_prob_vector",
     "generate_test_vectors",
@@ -77,20 +81,123 @@ class Rule:
                      coverage: float) -> Rule:
         """Copy of this rule carrying measured metrics. It skips the checks
         of ``__post_init__``: its items are this rule's, already checked."""
-        copy = object.__new__(Rule)
-        copy.__dict__.update(
-            antecedent=self.antecedent,
-            consequent=self.consequent,
-            support=support,
-            confidence=confidence,
-            zhang=zhang,
-            coverage=coverage,
-        )
-        return copy
+        return _checked_rule(self.antecedent, self.consequent, support, confidence, zhang, coverage)
 
     def render(self, features: list[Feature]) -> str:
         lhs = ", ".join(item.render(features) for item in sorted(self.antecedent))
         return f"{lhs} -> {self.consequent.render(features)}"
+
+
+def _checked_rule(antecedent, consequent, support, confidence, zhang, coverage) -> Rule:
+    """A ``Rule`` of already checked items, built without ``__post_init__``."""
+    rule = object.__new__(Rule)
+    rule.__dict__.update(antecedent=antecedent, consequent=consequent, support=support,
+                         confidence=confidence, zhang=zhang, coverage=coverage)
+    return rule
+
+
+def _slot_items(layout: GroupLayout) -> list[Item]:
+    return [Item(f, c) for f, count in enumerate(layout.class_counts) for c in range(count)]
+
+
+def _slot_features(layout: GroupLayout) -> np.ndarray:
+    return np.repeat(np.arange(layout.n_features), layout.class_counts)
+
+
+def _features_layout(features: list[Feature]) -> GroupLayout:
+    return GroupLayout(tuple(len(f.class_values) for f in features))
+
+
+_METRICS = ("support", "confidence", "zhang", "coverage")
+
+
+@dataclass(frozen=True, eq=False)
+class RuleSet(Sequence):
+    """Rules as columns, read as a sequence of ``Rule`` views.
+
+    Row i of ``antecedents`` holds rule i's antecedent slots (``offsets[f] +
+    class``, which sort as ``Item`` does) ascending, padded with
+    ``layout.width``; ``consequents[i]`` is its consequent's slot. A metric
+    column is None (no rule has it), a float64 array, or an object array
+    that may hold None. A RuleSet equals a list of the same rules in order.
+    """
+
+    antecedents: np.ndarray
+    consequents: np.ndarray
+    layout: GroupLayout
+    support: np.ndarray | None = None
+    confidence: np.ndarray | None = None
+    zhang: np.ndarray | None = None
+    coverage: np.ndarray | None = None
+
+    @classmethod
+    def from_rules(cls, rules, layout: GroupLayout) -> RuleSet:
+        """``rules`` as a RuleSet on ``layout`` (a RuleSet is returned as it
+        is); ValueError for an item outside the layout."""
+        if isinstance(rules, RuleSet):
+            return rules
+        rules = list(rules)
+
+        def slot(item: Item) -> int:
+            try:
+                return layout.slot(item.feature, item.class_index)
+            except IndexError:
+                raise ValueError(f"rule item {item} is outside the table's layout") from None
+
+        antecedents = np.full((len(rules), max((len(r.antecedent) for r in rules), default=1)),
+                              layout.width, dtype=np.int64)
+        for row, rule in zip(antecedents, rules):
+            row[: len(rule.antecedent)] = sorted(map(slot, rule.antecedent))
+        metrics = {}
+        for key in _METRICS:
+            values = [getattr(r, key) for r in rules]
+            if any(v is not None for v in values):
+                floats = all(type(v) is float for v in values)
+                metrics[key] = np.array(values, dtype=np.float64 if floats else object)
+        return cls(antecedents, np.array([slot(r.consequent) for r in rules], dtype=np.int64),
+                   layout, **metrics)
+
+    def __len__(self) -> int:
+        return len(self.consequents)
+
+    def __iter__(self):
+        items, pad = _slot_items(self.layout), self.layout.width
+        metrics = (repeat(None) if c is None else c.tolist()
+                   for c in (getattr(self, key) for key in _METRICS))
+        for row, consequent, *values in zip(self.antecedents.tolist(),
+                                            self.consequents.tolist(), *metrics):
+            yield _checked_rule(frozenset(items[s] for s in row if s != pad), items[consequent],
+                                *values)
+
+    def __getitem__(self, index):
+        """A ``Rule`` view for an int; the selected rules for a slice or an
+        index array."""
+        if isinstance(index, (int, np.integer)):
+            return next(iter(self[[range(len(self))[index]]]))
+        rows = np.arange(len(self))[index]
+        metrics = {key: getattr(self, key) for key in _METRICS}
+        return replace(self, antecedents=self.antecedents[rows], consequents=self.consequents[rows],
+                       **{key: None if c is None else c[rows] for key, c in metrics.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, (RuleSet, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def antecedent_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct, which): the distinct antecedent rows in lexicographic
+        order, and the index of each rule's row in ``distinct``."""
+        _, first, which = np.unique(_row_keys(self.antecedents), return_index=True,
+                                    return_inverse=True)
+        return self.antecedents[first], which
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a non-negative int matrix as one big-endian byte string:
+    the strings order as the rows do lexicographically, and no width of
+    layout or row can overflow them as an arithmetic key could."""
+    rows = np.ascontiguousarray(rows, dtype=">u8")
+    return rows.view(f"S{8 * rows.shape[1]}").ravel()
 
 
 @dataclass(frozen=True)
@@ -129,17 +236,25 @@ def generate_test_vectors(
     subset = tuple(feature_subset)
     if not 1 <= len(set(subset)) == len(subset):
         raise ValueError("feature subset must be non-empty and duplicate-free")
-    base = equal_prob_vector(layout)
-    vectors = []
-    for classes in product(*(range(layout.class_counts[f]) for f in subset)):
-        vec = base.copy()
-        items = []
-        for feat, cls in zip(subset, classes):
-            vec[layout.group_slice(feat)] = 0.0
-            vec[layout.slot(feat, cls)] = 1.0
-            items.append(Item(feat, cls))
-        vectors.append((vec, tuple(items)))
-    return vectors
+    vectors, marked = _marked_vectors(layout, [subset])
+    items = _slot_items(layout)
+    return [(vec, tuple(items[s] for s in row)) for vec, row in zip(vectors, marked.tolist())]
+
+
+def _marked_vectors(layout: GroupLayout, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, marked): the marked vectors of equal-sized feature subsets
+    as matrix rows, by subset and then class combination, and each row's
+    marked slots."""
+    marked = np.concatenate([
+        np.indices([layout.class_counts[f] for f in subset]).reshape(len(subset), -1).T
+        + [layout.offsets[f] for f in subset]
+        for subset in subsets
+    ])
+    slot_feature = _slot_features(layout)
+    in_marked_group = (slot_feature[:, None] == slot_feature[marked][:, None, :]).any(axis=2)
+    vectors = np.where(in_marked_group, 0.0, equal_prob_vector(layout))
+    vectors[np.arange(len(marked))[:, None], marked] = 1.0
+    return vectors, marked
 
 
 def count_test_vectors(layout: GroupLayout, max_antecedents: int) -> int:
@@ -161,15 +276,16 @@ def count_test_vectors(layout: GroupLayout, max_antecedents: int) -> int:
     return sum(coeffs[1:])
 
 
-def extract_rules(net, config: ExtractionConfig) -> list[Rule]:
+def extract_rules(net, config: ExtractionConfig) -> RuleSet:
     """Run the marked-vector probe over every eligible feature subset.
 
     For each subset of 1..max_antecedents features and each marked vector, the
     network output must reach the threshold at every marked slot (>=); then
     every unmarked feature whose argmax class output strictly exceeds the
     threshold yields a rule with the marked items as antecedent. Each vector
-    is probed once, so no rule repeats. Output is ordered by subset, class
-    combination, and consequent feature.
+    is probed once, by one ``net.forward`` call, so no rule repeats; the
+    outputs of one antecedent size are decided together. Output is ordered
+    by subset, class combination, and consequent feature.
     """
     layout: GroupLayout = net.shape.group_layout
     n_features = layout.n_features
@@ -181,23 +297,23 @@ def extract_rules(net, config: ExtractionConfig) -> list[Rule]:
         markable = list(range(n_features))
 
     tau = config.similarity_threshold
-    rules: list[Rule] = []
-    for size in range(1, min(config.max_antecedents, len(markable)) + 1):
-        for subset in combinations(markable, size):
-            marked_set = set(subset)
-            for vector, items in generate_test_vectors(layout, subset):
-                out = net.forward(vector)
-                if any(out[layout.slot(it.feature, it.class_index)] < tau for it in items):
-                    continue
-                antecedent = frozenset(items)
-                for feat in range(n_features):
-                    if feat in marked_set:
-                        continue
-                    block = out[layout.group_slice(feat)]
-                    best = int(np.argmax(block))
-                    if block[best] > tau:
-                        rules.append(Rule(antecedent, Item(feat, best)))
-    return rules
+    cap = min(config.max_antecedents, len(markable))
+    offsets, counts = np.asarray(layout.offsets), np.asarray(layout.class_counts)
+    slot_feature, width = _slot_features(layout), layout.width
+    antecedents, consequents = [np.empty((0, max(cap, 1)), np.int64)], [np.empty(0, np.int64)]
+    for size in range(1, cap + 1):
+        vectors, marked = _marked_vectors(layout, list(combinations(markable, size)))
+        outputs = np.array([net.forward(vector) for vector in vectors]).reshape(len(marked), width)
+        gate = ~(np.take_along_axis(outputs, marked, axis=1) < tau).any(axis=1)
+        best = np.maximum.reduceat(outputs, offsets, axis=1)
+        # the first slot of a group holding its maximum, as np.argmax picks
+        at_best = np.where(outputs == np.repeat(best, counts, axis=1), np.arange(width), width)
+        argmax = np.minimum.reduceat(at_best, offsets, axis=1)
+        unmarked = (slot_feature[marked][:, :, None] != np.arange(n_features)).all(axis=1)
+        probe, feature = np.nonzero((best > tau) & gate[:, None] & unmarked)
+        antecedents.append(np.pad(marked[probe], ((0, 0), (0, cap - size)), constant_values=width))
+        consequents.append(argmax[probe, feature])
+    return RuleSet(np.concatenate(antecedents), np.concatenate(consequents), layout)
 
 
 def rule_to_doc(rule: Rule, features: list[Feature]) -> dict:
@@ -259,64 +375,87 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def rules_array_json(rows, features: list[Feature], depth: int = 0) -> str:
+def _pick(texts: list[str], index: np.ndarray) -> list[str]:
+    """``texts[i]`` for every i of ``index``, as a list."""
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _metric_fields(rules: RuleSet, keys, sep: str) -> dict[str, list[str]]:
+    """For each metric in ``keys`` that some rule has, every rule's
+    ``<sep>"<key>": <value>`` text, or "" where the rule has no value. Float
+    columns render each distinct bit pattern once, so values that compare
+    equal but print apart (0.0 and -0.0) are never merged."""
+    columns = {key: getattr(rules, key) for key in keys if getattr(rules, key) is not None}
+    floats = [key for key, column in columns.items() if column.dtype == np.float64]
+    fields = {}
+    if floats:
+        bits = np.concatenate([columns[key].view(np.int64) for key in floats])
+        distinct, which = np.unique(bits, return_inverse=True)
+        texts = [_json_scalar(value) for value in distinct.view(np.float64).tolist()]
+        for key, rows in zip(floats, np.split(which, len(floats))):
+            fields[key] = _pick([f'{sep}"{key}": {text}' for text in texts], rows)
+    for key, column in columns.items():
+        if key not in fields:
+            fields[key] = ["" if v is None else f'{sep}"{key}": {_json_scalar(v)}' for v in column]
+    return fields
+
+
+def rules_array_json(rules: RuleSet, features: list[Feature], keys, depth: int = 0) -> str:
     """JSON array of rule documents, byte for byte as
     ``json.dumps(docs, indent=2, sort_keys=True)`` writes it when the array
     sits ``depth`` levels deep in an enclosing document.
 
-    ``rows`` yields ``(rule, confidence, coverage, support, zhang)``; a
-    metric that is None is left out, as ``rule_to_doc`` does. Every item is
-    rendered once and every distinct antecedent once; a rule joins these
-    fragments.
+    Each document holds a rule's items and the metrics named in ``keys``; a
+    metric that is None is left out, as ``rule_to_doc`` does. Every item,
+    every distinct antecedent row and every distinct number is rendered
+    once, and the documents are these fragments joined column by column.
     """
+    if not len(rules):
+        return "[]"
     pad = ["\n" + "  " * (depth + level) for level in range(5)]
+    sep = "," + pad[2]
 
-    def items(inner: str, outer: str) -> list[list[str]]:
+    def items(inner: str, outer: str) -> list[str]:
         return [
-            [
-                f'{{{inner}"class": {_json_scalar(value)},'
-                f'{inner}"feature": {_json_scalar(feature.name)}{outer}}}'
-                for value in feature.class_values
-            ]
+            f'{{{inner}"class": {_json_scalar(value)},'
+            f'{inner}"feature": {_json_scalar(feature.name)}{outer}}}'
             for feature in features
+            for value in feature.class_values
         ]
 
-    elements, consequents = items(pad[4], pad[3]), items(pad[3], pad[2])
-    antecedents: dict[frozenset[Item], str] = {}
-    field_sep = "," + pad[2]
-    docs = []
-    for rule, confidence, coverage, support, zhang in rows:
-        antecedent = antecedents.get(rule.antecedent)
-        if antecedent is None:
-            listed = ("," + pad[3]).join(
-                elements[i.feature][i.class_index] for i in sorted(rule.antecedent)
-            )
-            antecedent = antecedents[rule.antecedent] = f'"antecedent": [{pad[3]}{listed}{pad[2]}]'
-        fields = [antecedent]
-        if confidence is not None:
-            fields.append(f'"confidence": {_json_scalar(confidence)}')
-        consequent = rule.consequent
-        fields.append('"consequent": ' + consequents[consequent.feature][consequent.class_index])
-        if coverage is not None:
-            fields.append(f'"coverage": {_json_scalar(coverage)}')
-        if support is not None:
-            fields.append(f'"support": {_json_scalar(support)}')
-        if zhang is not None:
-            fields.append(f'"zhang": {_json_scalar(zhang)}')
-        docs.append("{" + pad[2] + field_sep.join(fields) + pad[1] + "}")
-    if not docs:
-        return "[]"
-    return "[" + pad[1] + ("," + pad[1]).join(docs) + pad[0] + "]"
+    elements = items(pad[4], pad[3])
+    consequents = [f'{sep}"consequent": {text}' for text in items(pad[3], pad[2])]
+    distinct, which = rules.antecedent_groups()
+    antecedents = [
+        f'{{{pad[2]}"antecedent": [{pad[3]}'
+        + ("," + pad[3]).join(elements[s] for s in row if s != rules.layout.width)
+        + f"{pad[2]}]"
+        for row in distinct.tolist()
+    ]
+    fields = _metric_fields(rules, keys, sep)
+    fields["antecedent"] = _pick(antecedents, which)
+    fields["consequent"] = _pick(consequents, rules.consequents)
+    # "antecedent" sorts first, so every other field carries its separator;
+    # the last column closes each document and opens the next
+    columns = [fields[key] for key in sorted(fields)]
+    columns.append([f"{pad[1]}}},{pad[1]}"] * len(rules))
+    flat = [""] * (len(rules) * len(columns))
+    for j, column in enumerate(columns):
+        flat[j :: len(columns)] = column
+    flat[0] = "[" + pad[1] + flat[0]
+    flat[-1] = pad[1] + "}" + pad[0] + "]"
+    return "".join(flat)
 
 
-def rules_to_json(rules: list[Rule], features: list[Feature]) -> str:
-    """Serialize rules as a JSON array; deterministic for identical inputs.
+def rules_to_json(rules, features: list[Feature]) -> str:
+    """Serialize rules (a RuleSet or a list of ``Rule``) as a JSON array;
+    deterministic for identical inputs.
 
     The bytes are those of ``json.dumps([rule_to_doc(r, features) for r in
     rules], indent=2, sort_keys=True)``.
     """
-    rows = ((r, r.confidence, None, r.support, r.zhang) for r in rules)
-    return rules_array_json(rows, features)
+    rules = RuleSet.from_rules(rules, _features_layout(features))
+    return rules_array_json(rules, features, ("confidence", "support", "zhang"))
 
 
 _ITEMS = jsondoc.array_of(jsondoc.OBJECT, "an array of objects")

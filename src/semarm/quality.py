@@ -3,22 +3,23 @@ coverage, data coverage, and Zhang's association-strength metric.
 
 All metrics are exact integer counts followed by one final division, so
 independent row-scan recomputations agree bit-for-bit. ``rule_counts`` counts
-a whole rule list in one pass over per-item row bitsets (the vertical layout
-of ECLAT), one bitset per distinct antecedent, and ``rule_metrics`` is the one
-place the metrics are computed from counts. The scalar functions (``support``
+a whole ``RuleSet`` in one pass over per-item row bitsets (the vertical layout
+of ECLAT), one bitset per distinct antecedent row, and ``rule_metrics`` is the
+one place the metrics are computed from counts. ``evaluate`` is the one
+counting pass a command makes over its rules. The scalar functions (``support``
 ... ``zhang``, ``data_coverage``) are views over that kernel for one rule or
 rule list; the row-scan references they are checked against are the
-``oracle_*`` functions in ``tests/test_quality.py``.
+``oracle_*`` functions in ``tests/test_quality.py`` and ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extract import Item, Rule, rule_to_doc, rules_array_json
+from .extract import Rule, RuleSet, _features_layout, rule_to_doc, rules_array_json
 from .transact import Feature, TransactionTable
 
 __all__ = [
@@ -46,7 +47,7 @@ MAX_REPORT_RULES = 50
 def _metrics(rule: Rule, table: TransactionTable) -> list[float]:
     """[support, confidence, rule coverage, zhang] of one rule, from the
     counting kernel."""
-    return [values[0] for values in rule_metrics(*rule_counts([rule], table), table.n_rows)]
+    return [float(values[0]) for values in rule_metrics(*rule_counts([rule], table), table.n_rows)]
 
 
 def support(rule: Rule, table: TransactionTable) -> float:
@@ -67,8 +68,8 @@ def rule_coverage(rule: Rule, table: TransactionTable) -> float:
 
 def data_coverage(rules, table: TransactionTable) -> float:
     """Fraction of transactions matched by at least one rule's antecedent."""
-    rules = list(rules)
-    return _count_pass(rules, table)[3] / table.n_rows if rules else 0.0
+    rules = RuleSet.from_rules(rules, table.layout())
+    return _count_pass(rules, table)[3] / table.n_rows if len(rules) else 0.0
 
 
 def zhang(rule: Rule, table: TransactionTable) -> float:
@@ -87,7 +88,7 @@ class RuleQualityReport:
     """The measured rules, each carrying its four metrics, plus set-level
     aggregates for one rule list."""
 
-    per_rule: list[Rule]
+    per_rule: RuleSet | list[Rule]
     rule_count: int
     mean_support: float
     mean_confidence: float
@@ -110,77 +111,79 @@ def _slot_bits(table: TransactionTable) -> np.ndarray:
     return np.packbits(hits, axis=1).view(np.uint64)
 
 
-def _count_pass(rules: list[Rule], table: TransactionTable):
+# Bitset rows counted per step (rules here, candidates in the miner): small
+# steps keep every temporary array small, so memory stays flat however many
+# rules a pass counts.
+_CHUNK = 256
+
+
+def _count_pass(rules: RuleSet, table: TransactionTable):
     """Per-rule (n_x, n_xy, n_y) int64 arrays, plus the number of rows that
     match at least one antecedent.
 
-    Rules are grouped by antecedent; each distinct antecedent's row bitset is
-    the AND of its items' bitsets, built once and intersected with every
-    consequent of the group. Raises ValueError for an item outside the
-    table's layout and for rules on a table with no rows.
+    Rules are grouped by antecedent row; each group's row bitset is the AND
+    of its slots' bitsets (the padding slot holds every row), built once per
+    step and intersected with every consequent of the group. Raises
+    ValueError for rules on a table with no rows.
     """
-    if rules and table.n_rows == 0:
+    if len(rules) and table.n_rows == 0:
         raise ValueError("cannot measure rules on a table with no rows")
-    layout = table.layout()
-
-    def slot(item: Item) -> int:
-        try:
-            return layout.slot(item.feature, item.class_index)
-        except IndexError:
-            raise ValueError(f"rule item {item} is outside the table's layout") from None
-
-    bits = _slot_bits(table)
-    consequent_slots = np.array([slot(r.consequent) for r in rules], dtype=np.int64)
-    groups: dict[frozenset[Item], list[int]] = {}
-    for i, rule in enumerate(rules):
-        groups.setdefault(rule.antecedent, []).append(i)
+    slot_bits = _slot_bits(table)
+    bits = np.vstack([slot_bits, np.full((1, slot_bits.shape[1]), ~np.uint64(0))])
+    groups, group_of = rules.antecedent_groups()
+    order = np.argsort(group_of, kind="stable")
     n_x = np.zeros(len(rules), dtype=np.int64)
     n_xy = np.zeros(len(rules), dtype=np.int64)
     covered = np.zeros(bits.shape[1], dtype=np.uint64)
-    for antecedent, members in groups.items():
-        x_slots = [slot(item) for item in antecedent]
-        x_bits = np.bitwise_and.reduce(bits[x_slots], axis=0)
-        covered |= x_bits
+    for start in range(0, len(rules), _CHUNK):
+        members = order[start : start + _CHUNK]
+        group = group_of[members]
+        first = group[0]
+        x_bits = np.bitwise_and.reduce(bits[groups[first : group[-1] + 1]], axis=1)
+        covered |= np.bitwise_or.reduce(x_bits, axis=0)
+        x_bits = x_bits[group - first]
         n_x[members] = _popcount(x_bits)
-        n_xy[members] = _popcount(bits[consequent_slots[members]] & x_bits)
-    n_y = _popcount(bits)[consequent_slots]
+        n_xy[members] = _popcount(bits[rules.consequents[members]] & x_bits)
+    n_y = _popcount(slot_bits)[rules.consequents]
     return n_x, n_xy, n_y, int(_popcount(covered))
 
 
 def rule_counts(rules, table: TransactionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(antecedent, antecedent+consequent, consequent) counts per rule, as
-    int64 arrays in rule order, from one pass over the table."""
-    return _count_pass(list(rules), table)[:3]
+    int64 arrays in rule order, from one pass over the table. Raises
+    ValueError for an item outside the table's layout."""
+    return _count_pass(RuleSet.from_rules(rules, table.layout()), table)[:3]
 
 
-def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[list, list, list, list]:
+def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[np.ndarray, ...]:
     """Support, confidence, rule coverage and Zhang's metric per rule, as
-    Python floats, from count arrays over ``n`` rows; the scalar functions
+    float64 arrays, from count arrays over ``n`` rows; the scalar functions
     of the same names read their value from here."""
     with np.errstate(divide="ignore", invalid="ignore"):
         conf_x = np.where(n_x > 0, n_xy / n_x, 0.0)
         conf_not_x = (n_y - n_xy) / (n - n_x)
         denom = np.maximum(conf_x, conf_not_x)
         zhang_values = np.where((n_x == n) | (denom == 0.0), 0.0, (conf_x - conf_not_x) / denom)
-    return (n_xy / n).tolist(), conf_x.tolist(), (n_x / n).tolist(), zhang_values.tolist()
+    return n_xy / n, conf_x, n_x / n, zhang_values
 
 
 def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
     """Measure every metric for every rule from one counting pass; empty rule
     lists yield a valid all-zero report.
 
-    ``per_rule`` holds copies of the input rules carrying their measured
-    support, confidence, zhang and coverage.
+    ``per_rule`` is the rules as a RuleSet carrying their measured support,
+    confidence, zhang and coverage columns. Each mean is a Python ``sum``
+    over the rules in order, divided by their number.
     """
-    rules = list(rules)
+    rules = RuleSet.from_rules(rules, table.layout())
     n_x, n_xy, n_y, covered = _count_pass(rules, table)
-    metrics = rule_metrics(n_x, n_xy, n_y, table.n_rows)
-    supports, confidences, coverages, zhangs = metrics
-    per_rule = [r.with_metrics(s, c, z, v) for r, s, c, v, z in zip(rules, *metrics)]
+    supports, confidences, coverages, zhangs = rule_metrics(n_x, n_xy, n_y, table.n_rows)
+    per_rule = replace(rules, support=supports, confidence=confidences, zhang=zhangs,
+                       coverage=coverages)
     count = len(per_rule)
 
     def mean(values):
-        return sum(values) / count if count else 0.0
+        return sum(values.tolist()) / count if count else 0.0
 
     return RuleQualityReport(
         per_rule=per_rule,
@@ -214,22 +217,25 @@ def report_to_doc(report: RuleQualityReport, features: list[Feature]) -> dict:
     return {**_aggregates(report), "rules": rules}
 
 
+_REPORT_METRICS = ("confidence", "coverage", "support", "zhang")
+
+
 def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) -> str:
     """The report, with ``extra`` top-level keys, byte for byte as
     ``json.dumps({**report_to_doc(report, features), **extra}, indent=2,
     sort_keys=True)`` writes it; the rules array comes from the specialised
-    writer ``rules_array_json``."""
+    writer ``rules_array_json``, which reads the RuleSet's columns."""
     rules = object()
     doc = {**_aggregates(report), "rules": rules, **extra}
-    fields = []
+    parts = []
     for key, value in sorted(doc.items()):
         if value is rules:
-            rows = ((r, r.confidence, r.coverage, r.support, r.zhang) for r in report.per_rule)
-            text = rules_array_json(rows, features, depth=1)
+            per_rule = RuleSet.from_rules(report.per_rule, _features_layout(features))
+            text = rules_array_json(per_rule, features, _REPORT_METRICS, depth=1)
         else:
             text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        fields.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", text]
+    return "".join([*parts, "\n}"])
 
 
 def format_report(report: RuleQualityReport, features: list[Feature]) -> str:

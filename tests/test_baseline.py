@@ -97,19 +97,40 @@ class TestMineFrequent:
         # are frequent but B0C0 never occurs, and likewise for A0B1 / A0C1
         features = [Feature(name, "categorical", ["0", "1"]) for name in "ABC"]
         table = TransactionTable(features, [[0, 0, 1], [0, 0, 1], [0, 1, 0], [0, 1, 0]])
-        calls = []
+        counted = []
 
         def counting_popcount(words):
-            calls.append(words.shape)
+            counted.append(words.shape[0])
             return _popcount(words)
 
         monkeypatch.setattr(baseline, "_popcount", counting_popcount)
         itemsets = mine_frequent(table, 0.5)
-        # one call for all items, 8 two-item candidates, and of the four
-        # three-item joins only A0B0C1 and A0B1C0 have every subset frequent
-        assert len(calls) == 1 + 8 + 2
+        # bitset rows counted: the 6 items, the 8 two-item candidates, and of
+        # the four three-item joins only A0B0C1 and A0B1C0, whose every
+        # subset is frequent
+        assert sum(counted) == 6 + 8 + 2
         assert {len(s.items) for s in itemsets} == {1, 2, 3}
         assert len(itemsets) == 5 + 6 + 2
+
+    def test_deep_levels_past_slot_180(self):
+        # 30 six-class features that differ between the two rows, then 9
+        # features present in both: width 189, so the 9-item level would
+        # overflow a base-width int64 key (189**9 > 2**63)
+        features = [Feature(f"s{i}", "categorical", [str(c) for c in range(6)]) for i in range(30)]
+        features += [Feature(f"k{i}", "categorical", ["0"]) for i in range(9)]
+        rows = [[0] * 30 + [0] * 9, [1] * 30 + [0] * 9]
+        table = TransactionTable(features, rows)
+        assert table.layout().width == 189
+        itemsets = mine_frequent(table, 1.0)
+        constant = [Item(f, 0) for f in range(30, 39)]
+        expected = {
+            frozenset(subset)
+            for size in range(1, 10)
+            for subset in combinations(constant, size)
+        }
+        assert len(itemsets) == len(expected) == 511
+        assert {s.items for s in itemsets} == expected
+        assert all(s.support == 1.0 for s in itemsets)
 
     def test_max_size_caps_cardinality(self):
         rng = np.random.default_rng(17)

@@ -6,11 +6,13 @@ and that every counter reads the values a real pipeline run returns."""
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
-from semarm.cli import main
+from semarm.baseline import mine_frequent
+from semarm.cli import _build_table, build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,3 +67,17 @@ def test_counters_read_a_real_pipeline_run(tracing, tmp_path):
     assert metrics["extract.probes"] > 0 and metrics["autonet.forward_rows"] > 0
     assert metrics["quality.rules_evaluated"] == metrics["extract.rules"] + metrics["baseline.rules"]
     assert metrics["baseline.itemsets_l1"] > 0
+    rules = json.loads((out / "rules.json").read_text())
+    baseline_rules = json.loads((out / "baseline_rules.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    single = {f["name"] for f in manifest["features"] if len(f["class_values"]) == 1}
+    assert metrics["extract.rules"] == len(rules) > 0
+    assert metrics["extract.constant_consequent_rules"] == sum(
+        r["consequent"]["feature"] in single for r in rules
+    )
+    assert metrics["baseline.rules"] == len(baseline_rules) > 0
+    table, _ = _build_table(build_parser().parse_args(commands["baseline"] + ingest))
+    levels = mine_frequent(table, 0.05, max_size=3).levels
+    assert [metrics[f"baseline.itemsets_l{k}"] for k in (1, 2, 3)] == [
+        len(counts) for _, counts in levels
+    ]

@@ -281,6 +281,20 @@ class TestReport:
         assert "Data cov." in text
 
 
+class TestMeanOrder:
+    def test_means_are_python_sums_in_rule_order(self):
+        # ten rules of support 1/10: a left-to-right sum and numpy's
+        # pairwise sum differ in the last bit, and the report uses the former
+        table = table_from_rows([[row, 0] for row in range(10)])
+        rules = [Rule(frozenset({Item(0, row)}), Item(1, 0)) for row in range(10)]
+        report = evaluate(rules, table)
+        supports = [rule.support for rule in report.per_rule]
+        assert sum(supports) != float(np.sum(supports))
+        assert report.mean_support == sum(supports) / 10
+        assert report.mean_support != float(np.sum(supports)) / 10
+        assert report.mean_coverage == sum(r.coverage for r in report.per_rule) / 10
+
+
 def kernel_table(rng):
     """Random table with at least one single-class feature (its item covers
     every row) and one class that never occurs."""
