@@ -21,7 +21,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .extract import Item, Rule, RuleSet, _row_keys, _slot_features, _slot_items
-from .quality import _CHUNK, _popcount, _slot_bits, rule_counts, rule_metrics
+from .quality import _CHUNK, _popcount, _slot_bits, evaluate, rule_metrics
 from .transact import GroupLayout, TransactionTable
 
 __all__ = [
@@ -228,10 +228,12 @@ def brute_force_implications(
 
 def coupled_support_threshold(reference_rules, table: TransactionTable) -> float:
     """Support threshold for comparison runs: half the mean measured support
-    of the rules the autoencoder route produced."""
-    rules = RuleSet.from_rules(reference_rules, table.layout())
-    if not len(rules):
+    of the rules the autoencoder route produced. ValueError when there are
+    no rules, or when none of them holds in any row."""
+    report = evaluate(reference_rules, table)
+    if not report.rule_count:
         raise ValueError("cannot couple a support threshold to an empty rule list")
-    _, n_xy, _ = rule_counts(rules, table)
-    mean = sum((n_xy / table.n_rows).tolist()) / len(rules)
-    return mean / 2.0
+    if report.mean_support == 0.0:
+        raise ValueError("cannot couple a support threshold to rules that hold in no row "
+                         "of the table (mean support 0)")
+    return report.mean_support / 2.0

@@ -364,8 +364,6 @@ def cmd_baseline(args) -> int:
     if args.rules is not None:
         with open(args.rules, "r", encoding="utf-8") as fh:
             reference_rules = extract.rules_from_json(fh, table.features, f"rules {args.rules}")
-        if not reference_rules:
-            raise ValueError("cannot couple the support threshold to an empty rules file")
         min_support = baseline.coupled_support_threshold(reference_rules, table)
 
     started = time.perf_counter()

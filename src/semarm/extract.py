@@ -33,7 +33,6 @@ __all__ = [
     "count_test_vectors",
     "extract_rules",
     "rule_to_doc",
-    "rule_from_doc",
     "rules_array_json",
     "rules_to_json",
     "rules_from_json",
@@ -102,10 +101,6 @@ def _slot_items(layout: GroupLayout) -> list[Item]:
 
 def _slot_features(layout: GroupLayout) -> np.ndarray:
     return np.repeat(np.arange(layout.n_features), layout.class_counts)
-
-
-def _features_layout(features: list[Feature]) -> GroupLayout:
-    return GroupLayout(tuple(len(f.class_values) for f in features))
 
 
 _METRICS = ("support", "confidence", "zhang", "coverage")
@@ -352,20 +347,6 @@ def _item_from_doc(doc: dict, by_name: dict[str, tuple[int, dict[str, int]]]) ->
         raise ValueError(f"unknown feature or class in rule document: {exc}") from exc
 
 
-def _rule_from_doc(doc: dict, by_name: dict[str, tuple[int, dict[str, int]]]) -> Rule:
-    return Rule(
-        frozenset(_item_from_doc(d, by_name) for d in doc["antecedent"]),
-        _item_from_doc(doc["consequent"], by_name),
-        support=doc.get("support"),
-        confidence=doc.get("confidence"),
-        zhang=doc.get("zhang"),
-    )
-
-
-def rule_from_doc(doc: dict, features: list[Feature]) -> Rule:
-    return _rule_from_doc(doc, _feature_lookup(features))
-
-
 def _json_scalar(value) -> str:
     """``value`` as ``json.dumps`` writes it."""
     if isinstance(value, float) and math.isfinite(value):
@@ -454,7 +435,7 @@ def rules_to_json(rules, features: list[Feature]) -> str:
     The bytes are those of ``json.dumps([rule_to_doc(r, features) for r in
     rules], indent=2, sort_keys=True)``.
     """
-    rules = RuleSet.from_rules(rules, _features_layout(features))
+    rules = RuleSet.from_rules(rules, GroupLayout.of(features))
     return rules_array_json(rules, features, ("confidence", "support", "zhang"))
 
 
@@ -469,4 +450,13 @@ def rules_from_json(source, features: list[Feature], name: str = "rules document
         jsondoc.entry(doc, "antecedent", _ITEMS, f"rule {i}")
         jsondoc.entry(doc, "consequent", jsondoc.OBJECT, f"rule {i}")
     by_name = _feature_lookup(features)
-    return [_rule_from_doc(doc, by_name) for doc in docs]
+    return [
+        Rule(
+            frozenset(_item_from_doc(d, by_name) for d in doc["antecedent"]),
+            _item_from_doc(doc["consequent"], by_name),
+            support=doc.get("support"),
+            confidence=doc.get("confidence"),
+            zhang=doc.get("zhang"),
+        )
+        for doc in docs
+    ]

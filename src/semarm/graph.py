@@ -252,7 +252,7 @@ def dump_graph(graph: PropertyGraph, ontology: Ontology, binding: Binding) -> st
 
 
 def _owner_items(graph: PropertyGraph, owner: str, role: str) -> list[tuple[str, object]]:
-    """Property items of one node or edge, qualified as <role>.<label>.<property>.
+    """Property items of one node, qualified as <role>.<label>.<property>.
 
     Multi-labeled owners contribute one item per (label, property) pair; an
     owner without labels uses the placeholder label "_".
@@ -271,7 +271,6 @@ def semantic_items_for_sensor(
     binding: Binding,
     sensor_id: str,
     neighbor_depth: int = 1,
-    include_edge_props: bool = False,
 ) -> list[tuple[str, object]]:
     """Semantic (feature name, raw value) pairs for one sensor.
 
@@ -279,8 +278,7 @@ def semantic_items_for_sensor(
     property values as ("self.<label>.<property>", value). For depth >= 1,
     nodes reachable within ``neighbor_depth`` hops (undirected, breadth-first)
     contribute property values under the role of their hop distance
-    ("hop1.<label>.<property>", ...). Traversed edges contribute their
-    properties under "edge<d>" roles only when ``include_edge_props`` is set.
+    ("hop1.<label>.<property>", ...).
 
     The result is sorted by (feature name, value text, value type), whatever
     the walk order; items at depth k are a superset of items at depth k - 1.
@@ -297,14 +295,8 @@ def semantic_items_for_sensor(
         items.append(("self.type", label))
     items.extend(_owner_items(graph, start, "self"))
 
-    rings = islice(graph.hop_rings(start), neighbor_depth + 1)
-    hops = {node: hop for hop, ring in enumerate(rings) for node in ring}
-    for node, hop in hops.items():
-        if hop:
+    rings = islice(graph.hop_rings(start), 1, neighbor_depth + 1)
+    for hop, ring in enumerate(rings, start=1):
+        for node in ring:
             items.extend(_owner_items(graph, node, f"hop{hop}"))
-    if include_edge_props:  # an edge is one hop past its nearer end
-        for edge_id, ends in graph.edge_endpoints.items():
-            near = min(hops.get(node, neighbor_depth) for node in ends)
-            if near < neighbor_depth:
-                items.extend(_owner_items(graph, edge_id, f"edge{near + 1}"))
     return sorted(items, key=lambda kv: (kv[0], str(kv[1]), type(kv[1]).__name__))

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extract import Rule, RuleSet, _features_layout, rule_to_doc, rules_array_json
-from .transact import Feature, TransactionTable
+from .extract import Rule, RuleSet, rule_to_doc, rules_array_json
+from .transact import Feature, GroupLayout, TransactionTable
 
 __all__ = [
     "RuleQualityReport",
@@ -230,7 +230,7 @@ def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) 
     parts = []
     for key, value in sorted(doc.items()):
         if value is rules:
-            per_rule = RuleSet.from_rules(report.per_rule, _features_layout(features))
+            per_rule = RuleSet.from_rules(report.per_rule, GroupLayout.of(features))
             text = rules_array_json(per_rule, features, _REPORT_METRICS, depth=1)
         else:
             text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")

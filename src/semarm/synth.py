@@ -194,15 +194,13 @@ def _sensor_name(index: int) -> str:
     return f"s{index:02d}"
 
 
-def spec_to_table(spec: SyntheticSpec, matrix: np.ndarray | None = None) -> TransactionTable:
+def spec_to_table(spec: SyntheticSpec) -> TransactionTable:
     """The generated transactions as a table, bypassing the CSV round trip."""
-    if matrix is None:
-        matrix = generate_classes(spec)
     labels = [f"c{j}" for j in range(spec.classes_per_feature)]
     features = [
         Feature(_sensor_name(i), "categorical", list(labels)) for i in range(spec.features)
     ]
-    return TransactionTable(features, matrix)
+    return TransactionTable(features, generate_classes(spec))
 
 
 def _build_graph(spec: SyntheticSpec) -> tuple[PropertyGraph, Ontology, Binding]:

@@ -28,7 +28,6 @@ __all__ = [
     "discretize_equal_frequency",
     "build_transactions",
     "one_hot_encode",
-    "decode_one_hot",
 ]
 
 DEFAULT_INTERVALS = 10
@@ -362,6 +361,11 @@ class GroupLayout:
 
     class_counts: tuple[int, ...]
 
+    @classmethod
+    def of(cls, features: list[Feature]) -> GroupLayout:
+        """The layout of ``features``, one group per feature."""
+        return cls(tuple(len(f.class_values) for f in features))
+
     def __post_init__(self):
         counts = tuple(int(c) for c in self.class_counts)
         if any(c < 1 for c in counts):
@@ -442,7 +446,7 @@ class TransactionTable:
         return len(self.features)
 
     def layout(self) -> GroupLayout:
-        return GroupLayout(tuple(len(f.class_values) for f in self.features))
+        return GroupLayout.of(self.features)
 
     def feature_index(self, name: str) -> int:
         for idx, feature in enumerate(self.features):
@@ -476,15 +480,6 @@ class EncodedMatrix:
     @property
     def n_rows(self) -> int:
         return self.data.shape[0]
-
-    def validate(self):
-        """Assert the per-feature one-hot invariant on every row."""
-        for feature in range(self.layout.n_features):
-            block = self.data[:, self.layout.group_slice(feature)]
-            if not np.allclose(block.sum(axis=1), 1.0):
-                raise ValueError(f"feature {feature} group does not sum to 1")
-            if not np.all((block == 0.0) | (block == 1.0)):
-                raise ValueError(f"feature {feature} group is not one-hot")
 
 
 def _semantic_features(sensor: str, enrichment: Enrichment) -> list[tuple[str, object]]:
@@ -569,21 +564,10 @@ def build_transactions(
 
 
 def one_hot_encode(table: TransactionTable) -> EncodedMatrix:
-    """Encode the table row-major: 1.0 at each row's class slot, 0.0 elsewhere."""
+    """Encode the table row-major: 1.0 at each row's class slot, 0.0 elsewhere;
+    the table's construction has checked every class index."""
     layout = table.layout()
     data = np.zeros((table.n_rows, layout.width), dtype=np.float64)
     for col in range(table.n_features):
-        indices = table.rows[:, col]
-        if indices.size and (indices.min() < 0 or indices.max() >= layout.class_counts[col]):
-            raise ValueError(f"row class out of range for feature {table.features[col].name!r}")
-        data[np.arange(table.n_rows), layout.offsets[col] + indices] = 1.0
+        data[np.arange(table.n_rows), layout.offsets[col] + table.rows[:, col]] = 1.0
     return EncodedMatrix(layout, data)
-
-
-def decode_one_hot(matrix: EncodedMatrix) -> np.ndarray:
-    """Invert one_hot_encode: per-feature argmax back to class indices."""
-    rows = np.empty((matrix.n_rows, matrix.layout.n_features), dtype=np.int64)
-    for feature in range(matrix.layout.n_features):
-        block = matrix.data[:, matrix.layout.group_slice(feature)]
-        rows[:, feature] = block.argmax(axis=1)
-    return rows

@@ -49,6 +49,16 @@ def make_random_table(rng, max_features=8, max_classes=4, max_rows=60) -> Transa
     return TransactionTable(features, np.column_stack(columns))
 
 
+def expected_one_hot(table: TransactionTable) -> np.ndarray:
+    """The one-hot matrix of ``table``, set one slot at a time."""
+    layout = table.layout()
+    expected = np.zeros((table.n_rows, layout.width))
+    for r, row in enumerate(table.rows.tolist()):
+        for feature, class_index in enumerate(row):
+            expected[r, layout.slot(feature, class_index)] = 1.0
+    return expected
+
+
 # names that JSON must escape: quotes, backslashes, control characters, non-ASCII
 JSON_TEXT = st.text(
     st.sampled_from('a"\\/\n\t\x00\x1f\x7fé漢😀 ') | st.characters(), max_size=6

@@ -232,6 +232,13 @@ class TestCoupledThreshold:
         with pytest.raises(ValueError):
             coupled_support_threshold([], table_from_rows([[0, 0]]))
 
+    def test_rules_that_hold_in_no_row_rejected(self):
+        # f0=v0 always comes with f1=v0, so f0=v0 -> f1=v1 has support 0
+        table = table_from_rows([[0, 0], [1, 1], [0, 0], [1, 1]])
+        rule = Rule(frozenset({Item(0, 0)}), Item(1, 1))
+        with pytest.raises(ValueError, match=r"hold in no row of the table \(mean support 0\)"):
+            coupled_support_threshold([rule], table)
+
     def test_matches_hand_recomputation(self):
         rng = np.random.default_rng(31)
         table = make_random_table(rng)

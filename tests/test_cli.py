@@ -521,6 +521,21 @@ class TestBaseline:
         assert code == 3
         assert "empty" in capsys.readouterr().err
 
+    def test_coupled_with_rules_that_never_hold_is_data_error(self, tmp_path, capsys):
+        # a reads x0/x1 and b reads y0/y1 in step, so a=x0 -> b=y1 holds in no window
+        lines = ["timestamp,sensor_id,value"]
+        for w in range(10):
+            lines += [f"{w * 60},a,x{w % 2}", f"{w * 60},b,y{w % 2}"]
+        csv_path, rules = tmp_path / "sensors.csv", tmp_path / "rules.json"
+        csv_path.write_text("\n".join(lines) + "\n")
+        rules.write_text(json.dumps([{"antecedent": [{"feature": "a", "class": "x0"}],
+                                      "consequent": {"feature": "b", "class": "y1"}}]))
+        code = run("baseline", "--sensors", csv_path, "--out", tmp_path / "out", "--rules", rules)
+        assert code == 3
+        err = single_data_error(capsys)
+        assert "rules that hold in no row of the table (mean support 0)" in err
+        assert "min_support" not in err
+
     def test_missing_support_flag_is_usage_error(self, dataset, tmp_path):
         assert run("baseline", "--sensors", dataset / "sensors.csv",
                    "--out", tmp_path) == 2

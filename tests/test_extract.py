@@ -14,7 +14,6 @@ from semarm.extract import (
     equal_prob_vector,
     extract_rules,
     generate_test_vectors,
-    rule_from_doc,
     rule_to_doc,
     rules_from_json,
     rules_to_json,
@@ -297,12 +296,12 @@ class TestRuleModel:
         rule = Rule(frozenset({Item(0, 1)}), Item(1, 0))
         assert rule.render(features) == "s1=b -> s2=c"
 
-    def test_rule_from_doc_rejects_unknown_class(self):
+    def test_rules_from_json_rejects_unknown_class(self):
         features = [Feature("s1", "categorical", ["a"]), Feature("s2", "categorical", ["b"])]
         doc = {"antecedent": [{"feature": "s1", "class": "z"}],
                "consequent": {"feature": "s2", "class": "b"}}
         with pytest.raises(ValueError, match="unknown feature or class"):
-            rule_from_doc(doc, features)
+            rules_from_json(json.dumps([doc]), features)
 
 
 class TestRulesJsonWriter:

@@ -195,17 +195,12 @@ class TestSemanticItems:
         assert set(depth1) <= set(depth2)
         assert ("hop2.Pipe.length", 430) in depth2
 
-    @pytest.mark.parametrize("edge_props", [False, True])
-    def test_depths_are_nested(self, water, edge_props):
+    def test_depths_are_nested(self, water):
         graph, _, binding = water
         for sensor in ("s1", "s2", "s3"):
             previous = set()
             for depth in range(4):
-                current = set(
-                    semantic_items_for_sensor(
-                        graph, binding, sensor, depth, include_edge_props=edge_props
-                    )
-                )
+                current = set(semantic_items_for_sensor(graph, binding, sensor, depth))
                 assert previous <= current
                 previous = current
 
@@ -243,13 +238,13 @@ class TestSemanticItems:
         with pytest.raises(ValueError):
             semantic_items_for_sensor(graph, binding, "s1", -1)
 
-    def test_edge_properties_only_when_requested(self, water):
+    def test_no_item_has_an_edge_role(self, water):
         graph, _, binding = water
-        plain = semantic_items_for_sensor(graph, binding, "s3", 1)
-        with_edges = semantic_items_for_sensor(graph, binding, "s3", 1, include_edge_props=True)
-        assert all(not name.startswith("edge") for name, _ in plain)
-        assert ("edge1.connected_to.order", 2) in with_edges
-        assert set(plain) <= set(with_edges)
+        assert graph.properties["e2"] == {"order": 2}  # edges do carry properties
+        for sensor in ("s1", "s2", "s3"):
+            for depth in range(4):
+                items = semantic_items_for_sensor(graph, binding, sensor, depth)
+                assert {name.split(".")[0] for name, _ in items} <= {"self", "hop1", "hop2", "hop3"}
 
     def test_multi_labeled_node_yields_one_type_item_per_label(self):
         graph = PropertyGraph(

@@ -10,10 +10,11 @@ from semarm.transact import (
     Feature,
     GroupLayout,
     TransactionTable,
-    decode_one_hot,
     discretize_equal_frequency,
     one_hot_encode,
 )
+
+from conftest import expected_one_hot
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
 
@@ -62,8 +63,9 @@ def test_duplicate_free_divisible_bins_are_exact(intervals, per_bin, seed):
 @settings(max_examples=60)
 def test_one_hot_round_trip(table):
     matrix = one_hot_encode(table)
-    matrix.validate()
-    assert np.array_equal(decode_one_hot(matrix), table.rows)
+    assert matrix.layout == table.layout()
+    assert matrix.data.dtype == np.float64
+    assert np.array_equal(matrix.data, expected_one_hot(table))
 
 
 @given(tables(), st.integers(0, 2**32 - 1))

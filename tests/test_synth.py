@@ -114,7 +114,8 @@ class TestDatasetFiles:
         matrix, csv_text, _ = build_dataset(spec)
         series = aggregate(load_sensor_csv(csv_text), spec.window_seconds)
         table = build_transactions(series)
-        direct = spec_to_table(spec, matrix)
+        direct = spec_to_table(spec)
+        assert np.array_equal(direct.rows, matrix)
         assert [f.name for f in table.features] == [f.name for f in direct.features]
         # class values observed in the CSV map back to the same assignments
         assert class_value_rows(table) == class_value_rows(direct)

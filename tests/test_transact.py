@@ -28,13 +28,12 @@ from semarm.transact import (
     _semantic_features,
     aggregate,
     build_transactions,
-    decode_one_hot,
     discretize_equal_frequency,
     load_sensor_csv,
     one_hot_encode,
 )
 
-from conftest import WATER_GRAPH, make_random_table
+from conftest import WATER_GRAPH, expected_one_hot, make_random_table
 
 
 class TestSensorCsv:
@@ -287,8 +286,9 @@ class TestOneHot:
         for _ in range(25):
             table = make_random_table(rng)
             matrix = one_hot_encode(table)
-            matrix.validate()
-            assert np.array_equal(decode_one_hot(matrix), table.rows)
+            assert matrix.layout == table.layout()
+            assert matrix.data.dtype == np.float64
+            assert np.array_equal(matrix.data, expected_one_hot(table))
 
     def test_every_row_group_sums_to_one(self):
         rng = np.random.default_rng(8)
@@ -310,6 +310,14 @@ class TestOneHot:
         assert layout.group_slice(2) == slice(5, 9)
         with pytest.raises(IndexError):
             layout.slot(0, 2)
+
+    def test_layout_of_features_is_the_table_layout(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            table = make_random_table(rng)
+            assert GroupLayout.of(table.features) == table.layout()
+        assert GroupLayout.of([Feature("f", "categorical", ["a", "b", "c"])]).class_counts == (3,)
+        assert GroupLayout.of([]).class_counts == ()
 
     def test_encoded_matrix_width_checked(self):
         with pytest.raises(ValueError):
