@@ -197,14 +197,11 @@ def _loss_and_grads(weights, biases, layout, noisy, clean):
 
     grads_w = [None] * 6
     grads_b = [None] * 6
-    grads_w[5] = acts[5].T @ delta
-    grads_b[5] = delta.sum(axis=0)
-    upstream = delta @ weights[5].T
-    for layer in range(4, -1, -1):
-        dz = upstream * (1.0 - acts[layer + 1] ** 2)
-        grads_w[layer] = acts[layer].T @ dz
-        grads_b[layer] = dz.sum(axis=0)
-        upstream = dz @ weights[layer].T
+    for layer in range(5, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer:  # the input layer needs no upstream gradient
+            delta = (delta @ weights[layer].T) * (1.0 - acts[layer] ** 2)
     return loss, grads_w, grads_b
 
 

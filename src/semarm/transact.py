@@ -131,19 +131,23 @@ def load_sensor_csv(source, name: str | None = None) -> SensorSeries:
 
     Values wrapped in double quotes are categorical; unquoted values are
     parsed as decimals, falling back to categorical for non-numeric text.
+    Fields are stripped of whitespace as ``str.strip`` does, Unicode included.
     Duplicate (sensor, timestamp) keys, empty sensor ids or values,
     unparseable timestamps and non-finite numbers are rejected with the
     line number. Bytes are decoded as UTF-8 with universal newlines, as a
     text-mode open reads them, and a byte that is not UTF-8 is named by line.
     Every message starts with ``name``, when one is given.
+    The columns are built from the bytes, each distinct field decoded and
+    parsed once; a per-line loop runs only to name a failing line.
     """
     try:
         if hasattr(source, "read"):
             source = source.read()
+        text = source
         if isinstance(source, bytes):
             source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             try:
-                source = source.decode("utf-8")
+                text = source.decode("utf-8")
             except UnicodeDecodeError as exc:
                 line = source.count(b"\n", 0, exc.start) + 1
                 raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
@@ -151,38 +155,88 @@ def load_sensor_csv(source, name: str | None = None) -> SensorSeries:
         try:
             return _load_columns(source)
         except ValueError:  # the per-line loop names the first failing line
-            return _load_lines(source)
+            return _load_lines(text)
     except ValueError as exc:
         if name is None:
             raise
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _load_columns(text: str) -> SensorSeries:
-    """``_load_lines(text)`` built a column at a time; raises ValueError
-    wherever that loop might raise or read ``text`` differently."""
-    text = text.replace("\r\n", "\n")
-    header, _, lines = text.partition("\n")
-    lines = list(filter(None, lines.split("\n")))  # csv skips blank lines
+# _WORD_MASKS[r] keeps the first r bytes of a little-endian 8-byte word
+_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying by it loses no bits
+
+
+def _byte_factorized(words: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The distinct stripped texts of the fields at bytes ``[starts[i], stops[i])``,
+    and each field's index among them. ``words[j]`` is bytes j to j + 7 of the
+    zero-padded, NUL-free CSV as a little-endian number: a field of w words is
+    keyed by them, zeroed past its end, and grouped by one number mixed from
+    them, or by its bytes where two different fields mix alike."""
+    lengths = stops - starts
+    n_words = np.maximum(-(-lengths // 8), 1)
+    distinct: list[bytes] = []
+    codes = np.empty(len(starts), np.int64)
+    widths = np.flatnonzero(np.bincount(n_words)).tolist()
+    for width in widths:
+        at = np.flatnonzero(n_words == width) if len(widths) > 1 else slice(None)
+        keys = words[starts[at, None] + np.arange(0, 8 * width, 8)]
+        keys[:, -1] &= _WORD_MASKS[lengths[at] - 8 * (width - 1)]
+        mixed = keys[:, 0]
+        for column in keys.T[1:]:
+            mixed = mixed * _MIX ^ column
+        _, inverse = np.unique(mixed, return_inverse=True)
+        pick = np.empty(inverse.max() + 1, np.intp)  # one field of each number
+        pick[inverse] = np.arange(len(keys))
+        fields = keys.view(f"S{8 * width}").ravel()
+        if width > 1 and not (keys[pick[inverse]] == keys).all():
+            _, pick, inverse = np.unique(fields, return_index=True, return_inverse=True)
+        codes[at] = inverse + len(distinct)
+        distinct += fields[pick].tolist()  # an S item drops its trailing NULs
+    texts = b"\n".join(distinct).decode().split("\n") if distinct else []
+    stripped = list(map(str.strip, texts))
+    if stripped == texts:  # distinct bytes, so distinct texts
+        return texts, codes
+    stripped, merged = _factorized(stripped)
+    return stripped, merged[codes]
+
+
+def _load_columns(source: str | bytes) -> SensorSeries:
+    """``_load_lines`` of the text of ``source``, UTF-8 bytes with newlines
+    translated or a str, built a column at a time from its bytes; raises
+    ValueError wherever that loop might raise or read the text differently."""
+    data = source if isinstance(source, bytes) else source.replace("\r\n", "\n").encode()
     # csv ends a record at a lone \r, and before Python 3.11 rejects a NUL
-    if ("\r" in text or "\0" in text or [h.strip() for h in header.split(",")] != HEADER
-            or max(map(len, lines), default=0) > csv.field_size_limit()
-            or list(map(str.count, lines, repeat(","))).count(2) != len(lines)):
+    if b"\r" in data or b"\0" in data:
         raise ValueError("not a plain sensor CSV")
-    fields = ",".join(lines).split(",")
-    del lines
+    padded = data + bytes(8)
+    buf = np.frombuffer(padded, np.uint8)[:len(data)]
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts, stops = np.r_[0, ends + 1], np.r_[ends, len(data)]
+    lines = stops > starts  # csv skips blank lines
+    starts, stops = starts[lines], stops[lines]
+    commas = np.flatnonzero(buf == ord(","))
+    # with as many commas as two per line, comma pair k inside line k puts two
+    # in each line; a line's byte count is at least the character count csv limits
+    if ([h.strip() for h in data.partition(b"\n")[0].decode().split(",")] != HEADER
+            or commas.size != 2 * len(starts)
+            or (stops - starts).max() > csv.field_size_limit()
+            or not ((commas[0::2] >= starts) & (commas[1::2] < stops)).all()):
+        raise ValueError("not a plain sensor CSV")
+    first, second, starts, stops = commas[2::2], commas[3::2], starts[1:], stops[1:]
+    words = np.ndarray(len(data) + 1, "<u8", padded, strides=(1,))
+    stamps, stamp_of = _byte_factorized(words, starts, first)
+    names, name_of = _byte_factorized(words, first + 1, second)
+    raws, value_of = _byte_factorized(words, second + 1, stops)
     try:
-        timestamps = np.fromiter(map(float, fields[0::3]), np.float64)
-    except ValueError:  # ISO-8601, or a character that strip() removes and float() keeps
-        timestamps = np.array([_parse_timestamp(t.strip()) for t in fields[0::3]], np.float64)
-    names, name_of = _factorized(list(map(str.strip, fields[1::3])))
-    raws, value_of = _factorized(list(map(str.strip, fields[2::3])))
-    del fields
-    _, moment = np.unique(timestamps, return_inverse=True)  # as dict keys, -0.0 == 0.0
-    if (not np.isfinite(timestamps).all() or "" in names or "" in raws
-            or not np.diff(np.sort(moment * len(names) + name_of)).all()):
+        stamps = np.fromiter(map(float, stamps), np.float64, len(stamps))
+    except ValueError:  # ISO-8601
+        stamps = np.array([_parse_timestamp(t) for t in stamps], np.float64)
+    _, moment = np.unique(stamps, return_inverse=True)  # as dict keys, -0.0 == 0.0
+    if (not np.isfinite(stamps).all() or "" in names or "" in raws
+            or not np.diff(np.sort(moment[stamp_of] * len(names) + name_of)).all()):
         raise ValueError("a line fails a check")
-    return SensorSeries._from_columns(names, name_of, timestamps,
+    return SensorSeries._from_columns(names, name_of, stamps[stamp_of],
                                       list(map(_parse_value, raws)), value_of)
 
 
@@ -420,13 +474,17 @@ class Feature:
 
 @dataclass(eq=False)
 class TransactionTable:
-    """Discretized transactions: one class index per feature per row."""
+    """Discretized transactions: one class index per feature per row.
+
+    ``rows`` is the table's own read-only int64 copy of the rows it is given,
+    so the class indices checked here stay checked."""
 
     features: list[Feature]
     rows: np.ndarray  # shape (n_rows, n_features), integer class indices
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
+        self.rows = np.array(self.rows, dtype=np.int64)
+        self.rows.flags.writeable = False
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.features):
             raise ValueError("rows must be (n_rows, n_features)")
         names = [f.name for f in self.features]

@@ -302,6 +302,17 @@ class TestOneHot:
         with pytest.raises(ValueError):
             TransactionTable([Feature("f", "categorical", ["a", "b"])], np.array([[2]]))
 
+    def test_checked_rows_are_read_only_and_the_tables_own(self):
+        features = [Feature("f1", "categorical", ["a", "b"]), Feature("f2", "categorical", ["c"])]
+        given = np.array([[0, 0], [1, 0]])
+        table = TransactionTable(features, given)
+        with pytest.raises(ValueError, match="read-only"):
+            table.rows[1, 1] = -1
+        given[1, 1] = -1  # the caller's array stays writeable, and apart
+        assert given.flags.writeable
+        assert table.rows.dtype == np.int64 and table.rows.tolist() == [[0, 0], [1, 0]]
+        assert one_hot_encode(table).data.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+
     def test_layout_slots(self):
         layout = GroupLayout((2, 3, 4))
         assert layout.width == 9
@@ -663,9 +674,16 @@ def csv_outcome(load, source):
             s.numbers.tobytes(), s.codes.tobytes())
 
 
-STAMPS = ["0", "-0.0", "60", "60.5", "1e3", "-120", "1970-01-01T00:01:00+00:00"]
-NUMBERS = ["1.5", "-0", "2", "0.1", "1e16", "-3.25"]
-LABELS = ['"a"', '"b"', '"1"', '""', "open", "closed"]
+# Fields wider than 8 bytes that differ only after byte 8, non-ASCII ones,
+# and Unicode whitespace that str.strip removes
+STAMPS = ["0", "-0.0", "60", "60.5", "1e3", "-120", "1700000000", "1700000060"]
+ISO_STAMP = "1970-01-01T00:01:00+00:00"
+NAMES = ["s1", "s2", "door", "t4", "building_3.floor_2.temp_01", "building_3.floor_2.temp_02",
+         "température", "温度"]
+NUMBERS = ["1.5", "-0", "2", "0.1", "1e16", "-3.25", "12.345678", "12.345679"]
+LABELS = ['"a"', '"b"', '"1"', '""', "open", "closed", "a", '"state_open_1"', '"state_open_2"',
+          "valve_closed_1", "valve_closed_2", '"fermé"', "geöffnet"]
+PADDING = [" {} ", "\t{}", "{}\x1c", "\u00a0{}", "{}\u2003", "\x85{}\x85"]
 CSV_FAULTS = ["fields", "empty", "non-finite", "duplicate", "mixed", "iso", "padding",
               "blank", "crlf", "cr", "non-utf8", "over-limit"]
 
@@ -674,10 +692,8 @@ CSV_FAULTS = ["fields", "empty", "non-finite", "duplicate", "mixed", "iso", "pad
 def sensor_csv(draw):
     """(source, fault): a sensor CSV as text or bytes, with at most one fault
     injected into its shuffled data lines."""
-    names = draw(st.lists(st.sampled_from(["s1", "s2", "door", "t4"]), min_size=1, max_size=3,
-                          unique=True))
-    stamps = draw(st.lists(st.sampled_from(STAMPS[:6]), min_size=1, max_size=4,
-                           unique_by=float))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    stamps = draw(st.lists(st.sampled_from(STAMPS), min_size=1, max_size=4, unique_by=float))
     rows = []
     for name in names:
         pool = draw(st.sampled_from([NUMBERS, LABELS]))
@@ -698,10 +714,12 @@ def sensor_csv(draw):
     elif fault == "mixed":
         row[2] = '"x"' if row[2] in NUMBERS else "7"
     elif fault == "iso":
-        row[0] = draw(st.sampled_from([STAMPS[6], "1970-01-01 00:01:00", "1970-01-01T00:00:60"]))
-    elif fault == "padding":
+        row[0] = draw(st.sampled_from([ISO_STAMP, "1970-01-01 00:01:00", "1970-01-01T00:00:60"]))
+    elif fault == "padding":  # some fields padded, so padded and bare copies of one text meet
         field = draw(st.integers(0, 2))
-        row[field] = draw(st.sampled_from([" {} ", "\t{}", "{}\x1c"])).format(row[field])
+        for r in rows:
+            if draw(st.booleans()):
+                r[field] = draw(st.sampled_from(PADDING)).format(r[field])
     elif fault == "over-limit":
         width = csv.field_size_limit() + draw(st.integers(0, 1))
         row[2] = draw(st.sampled_from(["7", "a", '"'])) * width
@@ -729,6 +747,8 @@ class TestSensorCsvMatchesOracle:
     @example(("timestamp,sensor_id,value\n0,s1," + "a" * 131073, "over-limit"), None)
     @example(("timestamp,sensor_id,value\n0\x00,s1,1\n", None), "sensors f.csv")
     @example(("timestamp,sensor_id,value\n", None), None)
+    @example(('timestamp,sensor_id,value\n0,s1, a\n60,s1,a\n120, s1 ,\u2003"b"\n', "padding"), None)
+    @example(("timestamp" + " " * 131073 + ",sensor_id,value\n0,s1,1\n", "over-limit"), None)
     @settings(max_examples=400, deadline=None)
     def test_columns_or_message_match_the_per_line_loader(self, drawn, name):
         source, _ = drawn
@@ -737,7 +757,8 @@ class TestSensorCsvMatchesOracle:
             expected = f"{name}: {expected}"
         assert csv_outcome(lambda s: load_sensor_csv(s, name), source) == expected
 
-    @pytest.mark.parametrize("kind", ["categorical", "numeric", "iso"])
+    @pytest.mark.parametrize("kind", ["categorical", "numeric", "iso", "padded", "wide",
+                                      "non-ascii"])
     def test_valid_input_takes_the_column_path(self, monkeypatch, kind):
         _, text, _ = build_dataset(SyntheticSpec(4, 3, 50, seed=8))
         if kind == "numeric":  # s00 and s02 read numbers, s01 and s03 states
@@ -745,6 +766,13 @@ class TestSensorCsvMatchesOracle:
         elif kind == "iso":
             text = re.sub(r"^(\d+),", lambda m: datetime.fromtimestamp(
                 int(m[1]), timezone.utc).isoformat() + ",", text, flags=re.M)
+        elif kind == "padded":
+            text = text.replace(",", ", ")
+        elif kind == "wide":
+            text = re.sub(r'(s0[02]),"c(\d)"', lambda m: f"{m[1]},{int(m[2]) / 7 + 10:.6f}", text)
+            text = re.sub(r",s0(\d),", r",building_3.floor_2.temp_0\1,", text)
+        elif kind == "non-ascii":
+            text = re.sub(r',s0(\d),"c(\d)"', r',température_\1,"état_\2"', text)
         expected = csv_outcome(oracle_load_sensor_csv, text)
         assert not isinstance(expected, str)
 
@@ -754,3 +782,13 @@ class TestSensorCsvMatchesOracle:
         monkeypatch.setattr(transact, "_load_lines", refuse)
         assert csv_outcome(load_sensor_csv, text) == expected
         assert csv_outcome(load_sensor_csv, text.encode()) == expected
+
+    def test_fields_that_mix_to_one_number_are_told_apart_by_their_bytes(self, monkeypatch):
+        # with no mixing a field's number is its last word, "001" for both ids
+        text = ("timestamp,sensor_id,value\n0,sensor_0001,2.5\n0,sensor_1001,3.5\n"
+                "60,sensor_0001,1\n60,sensor_1001,1\n")
+        expected = csv_outcome(oracle_load_sensor_csv, text)
+        monkeypatch.setattr(transact, "_MIX", np.uint64(0))
+        monkeypatch.setattr(transact, "_load_lines", None)
+        assert csv_outcome(load_sensor_csv, text) == expected
+        assert expected[0] == ["sensor_0001", "sensor_1001"]
