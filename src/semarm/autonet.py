@@ -36,6 +36,7 @@ CLAMP_EPS = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PROBE_BLOCK = 64  # rows per network pass of forward: any width fills whole SIMD lanes
 
 
 @dataclass(frozen=True)
@@ -128,26 +129,32 @@ class TrainedAutoencoder:
                 raise ValueError(f"layer {i} has non-finite parameters")
 
     def forward(self, x) -> np.ndarray:
-        """Reconstruction probabilities for one input vector.
+        """Reconstruction probabilities for one input vector, bit for bit its
+        row of any ``forward_batch``.
 
         Hidden layers apply tanh; the final pre-activation is split by the
         feature layout and softmax-normalized within each group, so each
         feature's slots sum to 1."""
-        batch = self._checked_input(x, ndim=1)[None, :]
-        return _activations(self.weights, self.biases, self.shape.group_layout, batch)[1][0]
+        return self._outputs(x, ndim=1)
 
     def forward_batch(self, batch: np.ndarray) -> np.ndarray:
-        batch = self._checked_input(batch, ndim=2)
-        return _activations(self.weights, self.biases, self.shape.group_layout, batch)[1]
+        return self._outputs(batch, ndim=2)
 
-    def _checked_input(self, x, ndim: int) -> np.ndarray:
-        """``x`` as float64 with ``ndim`` axes, the last of input width, all finite."""
+    def _outputs(self, x, ndim: int) -> np.ndarray:
+        """The outputs for ``x``: ``ndim`` axes, the last of input width, all
+        finite. Rows pass the network in zero-padded blocks of ``PROBE_BLOCK``,
+        so a row's output bits do not depend on where it sits."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != ndim or x.shape[-1] != self.shape.input_dim:
             raise ValueError(f"expected input {ndim}-d with width {self.shape.input_dim}")
         if not np.isfinite(x).all():
             raise ValueError("input contains non-finite values")
-        return x
+        rows = x.reshape(-1, x.shape[-1])
+        out = np.pad(rows, ((0, -len(rows) % PROBE_BLOCK), (0, 0)))
+        for start in range(0, len(out), PROBE_BLOCK):
+            block = out[start : start + PROBE_BLOCK]
+            block[:] = _activations(self.weights, self.biases, self.shape.group_layout, block)[1]
+        return out[: len(rows)].reshape(x.shape)
 
 
 def _group_softmax(z: np.ndarray, layout: GroupLayout) -> np.ndarray:

@@ -8,9 +8,13 @@ failure prints a single machine-parseable ``error: <category>: ...`` line.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
+import os
 import sys
 import time
+import zipfile
 from dataclasses import asdict, fields
 from itertools import islice
 from pathlib import Path
@@ -202,19 +206,53 @@ def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
     return sorted(islice(along, max(count, 0)))
 
 
-def _build_table(args, keep_sensors=None):
-    """Shared ingestion path: CSV -> aggregate -> (optional) enrich -> table."""
-    with open(_required(args.sensors, "--sensors"), "rb") as fh:
-        series = transact.load_sensor_csv(fh, f"sensors {args.sensors}")
-    graph = ontology = binding = None
-    if args.graph:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            graph, ontology, binding = load_graph(fh, f"graph {args.graph}")
+# Bump the format when a code change would build another table from the same inputs.
+_TABLE_FILE, _TABLE_FORMAT = "transactions.npz", "semarm transactions 1"
+_PIPELINE_OPTIONS = ("window_seconds", "intervals", "enrich", "depth")
 
+
+def _stored_table(path: Path, key: str, keep_sensors):
+    """(table, sensors) of the artifact at ``path`` if built under ``key`` for the
+    same sensor selection, else None, as for one that is missing or unreadable."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as stored:
+            meta, rows = json.loads(stored["meta"].item()), stored["rows"]
+        if meta["key"] == key and (not meta["selected"] if keep_sensors is None
+                                   else list(keep_sensors) == meta["sensors"]):
+            features = [transact.Feature(**doc) for doc in meta["features"]]
+            return transact.TransactionTable(features, rows), meta["sensors"]
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        pass
+    return None
+
+
+def _build_table(args, keep_sensors=None):
+    """Shared ingestion path: CSV -> aggregate -> (optional) enrich -> table.
+
+    The table is kept in ``<out>/transactions.npz`` under a key hashed from
+    the CSV and graph bytes and the pipeline options; a later command with
+    the same key and sensor selection reads it instead of building again."""
+    with open(_required(args.sensors, "--sensors"), "rb") as fh:
+        data = fh.read()
+    graph_data = graph = binding = None
+    if args.graph:
+        with open(args.graph, "rb") as fh:
+            graph_data = fh.read()
+        text = io.TextIOWrapper(io.BytesIO(graph_data), encoding="utf-8")  # as open() reads it
+        graph, _, binding = load_graph(text, f"graph {args.graph}")
+    options = {name: getattr(args, name) for name in _PIPELINE_OPTIONS}
+    digests = [None if part is None else hashlib.sha256(part).hexdigest()
+               for part in (data, graph_data)]
+    key = hashlib.sha256(json.dumps([_TABLE_FORMAT, options, digests]).encode()).hexdigest()
     if keep_sensors is None and args.sample_sensors is not None:
         if graph is None:
             raise ValueError("--sample-sensors needs --graph")
         keep_sensors = _sample_sensor_walk(graph, binding, args.sample_sensors, args.seed or 0)
+    stored = _stored_table(Path(args.out) / _TABLE_FILE, key, keep_sensors)
+    if stored is not None:
+        return stored[0], {**options, "sensors": stored[1]}
+
+    series = transact.load_sensor_csv(data, f"sensors {args.sensors}")
     if keep_sensors is not None:
         series = series.select(keep_sensors)
         if not series.timestamps.size:
@@ -227,26 +265,16 @@ def _build_table(args, keep_sensors=None):
             raise ValueError("--enrich needs --graph")
         enrichment = transact.Enrichment(graph, binding, depth=args.depth)
     table = transact.build_transactions(aggregated, enrichment, args.intervals)
-    pipeline = {
-        "window_seconds": args.window_seconds,
-        "intervals": args.intervals,
-        "enrich": args.enrich,
-        "depth": args.depth,
-        "sensors": aggregated.sensors,
-    }
-    return table, pipeline
+    meta = {"key": key, "features": _feature_docs(table.features),
+            "sensors": aggregated.sensors, "selected": keep_sensors is not None}
+    temp = _out_dir(args) / f".{os.getpid()}.{_TABLE_FILE}"  # written aside, swapped in at once
+    np.savez(temp, rows=table.rows, meta=np.array(json.dumps(meta)))
+    os.replace(temp, temp.with_name(_TABLE_FILE))
+    return table, {**options, "sensors": aggregated.sensors}
 
 
 def _feature_docs(features) -> list[dict]:
-    return [
-        {
-            "name": f.name,
-            "kind": f.kind,
-            "class_values": list(f.class_values),
-            "bin_edges": list(f.bin_edges),
-        }
-        for f in features
-    ]
+    return [asdict(f) for f in features]  # the inverse of Feature(**doc)
 
 
 _PAIR = jsondoc.Kind(lambda v: jsondoc.INTEGERS.accepts(v) and len(v) == 2, "a pair of integers")
@@ -313,7 +341,7 @@ def _rebuild_from_manifest(args, manifest):
     pipeline = jsondoc.entry(manifest, "pipeline", jsondoc.OBJECT, "manifest")
     features = jsondoc.entry(manifest, "features", jsondoc.ARRAY, "manifest")
     actions = {action.dest: action for action in args.options._actions}
-    for dest in ("window_seconds", "intervals", "enrich", "depth"):
+    for dest in _PIPELINE_OPTIONS:
         value = _option_value(actions[dest], pipeline, dest, "manifest pipeline")
         if getattr(args, dest) is None:
             setattr(args, dest, value)

@@ -256,9 +256,9 @@ def count_test_vectors(layout: GroupLayout, max_antecedents: int) -> int:
     """Number of marked vectors over all feature subsets of size up to
     ``max_antecedents``: the sum over subsets of the product of class counts.
 
-    extract_rules performs exactly this many forward passes when no feature
-    constraint is set. Computed via elementary symmetric polynomials, so
-    large feature counts stay cheap.
+    extract_rules probes exactly this many rows through the network when no
+    feature constraint is set. Computed via elementary symmetric polynomials,
+    so large feature counts stay cheap.
     """
     if max_antecedents < 1:
         raise ValueError("max_antecedents must be >= 1")
@@ -278,9 +278,10 @@ def extract_rules(net, config: ExtractionConfig) -> RuleSet:
     network output must reach the threshold at every marked slot (>=); then
     every unmarked feature whose argmax class output strictly exceeds the
     threshold yields a rule with the marked items as antecedent. Each vector
-    is probed once, by one ``net.forward`` call, so no rule repeats; the
-    outputs of one antecedent size are decided together. Output is ordered
-    by subset, class combination, and consequent feature.
+    is probed once, as one row of the single ``net.forward_batch`` call of
+    its antecedent size, so no rule repeats; the outputs of one size are
+    decided together. Output is ordered by subset, class combination, and
+    consequent feature.
     """
     layout: GroupLayout = net.shape.group_layout
     n_features = layout.n_features
@@ -298,7 +299,7 @@ def extract_rules(net, config: ExtractionConfig) -> RuleSet:
     antecedents, consequents = [np.empty((0, max(cap, 1)), np.int64)], [np.empty(0, np.int64)]
     for size in range(1, cap + 1):
         vectors, marked = _marked_vectors(layout, list(combinations(markable, size)))
-        outputs = np.array([net.forward(vector) for vector in vectors]).reshape(len(marked), width)
+        outputs = net.forward_batch(vectors)
         gate = ~(np.take_along_axis(outputs, marked, axis=1) < tau).any(axis=1)
         best = np.maximum.reduceat(outputs, offsets, axis=1)
         # the first slot of a group holding its maximum, as np.argmax picks

@@ -73,8 +73,9 @@ class SensorSeries:
         if mixed.size:
             raise ValueError(f"sensor {sensors[sensor[mixed[0]]]!r} mixes numeric and "
                              "categorical values")
-        numbers = np.where(numeric, np.array(values, dtype=object)[value_of], 0.0)
-        return cls(sensors, sensor, timestamps, numbers.astype(np.float64), codes, vocab)
+        floats = np.array([0.0 if isinstance(v, str) else v for v in values], np.float64)
+        numbers = np.where(numeric, floats[value_of], 0.0)
+        return cls(sensors, sensor, timestamps, numbers, codes, vocab)
 
     @property
     def readings(self) -> MappingProxyType:
@@ -145,7 +146,8 @@ def load_sensor_csv(source, name: str | None = None) -> SensorSeries:
             source = source.read()
         text = source
         if isinstance(source, bytes):
-            source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if b"\r" in source:
+                source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
             try:
                 text = source.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -203,7 +203,7 @@ def test_07_threshold_monotonicity():
 
 
 def test_08_test_vector_accounting():
-    with criterion(8, "forward passes equal the test-vector count"):
+    with criterion(8, "probed rows equal the test-vector count"):
         rng = np.random.default_rng(88)
         for _ in range(8):
             counts = tuple(int(c) for c in rng.integers(1, 6, size=rng.integers(2, 7)))

@@ -48,6 +48,9 @@ class ScriptedNet:
         self.inputs.append(np.array(vector))
         return self.outputs[(len(self.inputs) - 1) % len(self.outputs)]
 
+    def forward_batch(self, batch):
+        return np.array([self.forward(row) for row in batch])
+
 
 class RecordingNet:
     def __init__(self, inner):
@@ -61,6 +64,10 @@ class RecordingNet:
     def forward(self, vector):
         self.inputs.append(np.array(vector))
         return self.inner.forward(vector)
+
+    def forward_batch(self, batch):
+        self.inputs.extend(np.array(row) for row in batch)
+        return self.inner.forward_batch(batch)
 
 
 def probe_both(make_net, config):

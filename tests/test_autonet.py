@@ -146,6 +146,38 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward_batch(np.zeros(net.shape.input_dim))
 
+    @settings(max_examples=25, deadline=None)
+    @given(counts=st.lists(st.integers(1, 5), min_size=2, max_size=6),
+           seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 150),
+           scale=st.sampled_from([0.1, 1.0, 4.0]))
+    def test_batch_rows_are_forward_bit_for_bit(self, counts, seed, n_rows, scale):
+        layout = GroupLayout(tuple(counts))
+        assume(layout.width >= 3)  # the smallest code size is 2
+        rng = np.random.default_rng(seed)
+        net = initialize_network(NetworkShape.default_for(layout), seed=seed)
+        net.weights = [w + rng.normal(0.0, scale, w.shape) for w in net.weights]
+        net.biases = [b + rng.normal(0.0, scale, b.shape) for b in net.biases]
+        x = rng.random((n_rows, layout.width))
+        x[rng.random(x.shape) < 0.3] = 0.0
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        batch = net.forward_batch(x)
+        assert batch.shape == x.shape
+        np.testing.assert_array_equal(bits(batch), bits([net.forward(row) for row in x]))
+        perm = rng.permutation(n_rows)
+        np.testing.assert_array_equal(bits(net.forward_batch(x[perm])), bits(batch[perm]))
+        filler = rng.random((63, layout.width))
+        for offset in range(64):  # row i of x at place (offset + i) % 64 of its block
+            shifted = net.forward_batch(np.vstack([filler[:offset], x]))
+            np.testing.assert_array_equal(bits(shifted[offset:]), bits(batch))
+
+    def test_empty_batch(self):
+        net = initialize_network(toy_shape(), seed=0)
+        empty = np.zeros((0, net.shape.input_dim))
+        assert net.forward_batch(empty).shape == empty.shape
+
 
 class TestShape:
     def test_under_completeness_enforced(self):

@@ -58,7 +58,11 @@ def test_counters_read_a_real_pipeline_run(tracing, tmp_path):
     metrics = tracing.iteration_metrics(spans)
     assert metrics["cost.readings"] == rows * sensors
     assert metrics["cost.rows"] == rows
-    assert metrics["transact.table_builds"] == 3
+    # train builds the table; mine and baseline read it from the run directory
+    assert metrics["transact.table_builds"] == 1
+    commands_of = {span["id"]: span["name"] for span in spans if span["parent"] is None}
+    assert [commands_of[span["command"]] for span in spans
+            if span["name"] == "transact.load_sensor_csv"] == ["cli.train"]
     assert metrics["cost.features"] > sensors
     assert 0 < metrics["cost.single_class_features"] < metrics["cost.features"]
     assert metrics["cost.input_width"] > metrics["cost.features"]

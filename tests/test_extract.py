@@ -42,8 +42,13 @@ class StubNet:
         self.inputs.append(np.array(vector))
         return self.output
 
+    def forward_batch(self, batch):
+        return np.array([self.forward(row) for row in batch])
+
 
 class CountingNet:
+    """Counts the rows probed, one per ``forward`` call and one per batch row."""
+
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
@@ -55,6 +60,10 @@ class CountingNet:
     def forward(self, vector):
         self.calls += 1
         return self.inner.forward(vector)
+
+    def forward_batch(self, batch):
+        self.calls += len(batch)
+        return self.inner.forward_batch(batch)
 
 
 class TestEqualProbVector:
