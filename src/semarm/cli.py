@@ -203,7 +203,7 @@ def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
     start = binding.sensor_to_node[sensors[int(rng.integers(0, len(sensors)))]]
     along = (sensor for ring in graph.hop_rings(start) for node in ring
              for sensor in node_to_sensors.get(node, ()))
-    return sorted(islice(along, max(count, 0)))
+    return sorted(islice(along, count))
 
 
 # Bump the format when a code change would build another table from the same inputs.
@@ -245,6 +245,8 @@ def _build_table(args, keep_sensors=None):
                for part in (data, graph_data)]
     key = hashlib.sha256(json.dumps([_TABLE_FORMAT, options, digests]).encode()).hexdigest()
     if keep_sensors is None and args.sample_sensors is not None:
+        if args.sample_sensors < 1:
+            raise ValueError("--sample-sensors must be at least 1")
         if graph is None:
             raise ValueError("--sample-sensors needs --graph")
         keep_sensors = _sample_sensor_walk(graph, binding, args.sample_sensors, args.seed or 0)
@@ -364,8 +366,10 @@ def cmd_mine(args) -> int:
         raise ValueError("model layout does not match the rebuilt table")
 
     markable = None
-    if args.mark_features:
+    if args.mark_features is not None:
         names = [n.strip() for n in args.mark_features.split(",") if n.strip()]
+        if not names:
+            raise ValueError(f"--mark-features names no feature: {args.mark_features!r}")
         try:
             markable = frozenset(table.feature_index(name) for name in names)
         except KeyError as exc:

@@ -444,20 +444,24 @@ _ITEMS = jsondoc.array_of(jsondoc.OBJECT, "an array of objects")
 
 
 def rules_from_json(source, features: list[Feature], name: str = "rules document") -> list[Rule]:
-    """Rules from a rules document (text or a stream); metrics are taken as they are."""
+    """Rules from a rules document (text or a stream); metrics are taken as they are.
+    Every error names the document and the rule, as ``<name>: rule <i>``."""
     docs = jsondoc.checked(jsondoc.load(source, name), jsondoc.ARRAY, name)
-    for i, doc in enumerate(docs):
-        jsondoc.checked(doc, jsondoc.OBJECT, f"rule {i}")
-        jsondoc.entry(doc, "antecedent", _ITEMS, f"rule {i}")
-        jsondoc.entry(doc, "consequent", jsondoc.OBJECT, f"rule {i}")
     by_name = _feature_lookup(features)
-    return [
-        Rule(
-            frozenset(_item_from_doc(d, by_name) for d in doc["antecedent"]),
-            _item_from_doc(doc["consequent"], by_name),
-            support=doc.get("support"),
-            confidence=doc.get("confidence"),
-            zhang=doc.get("zhang"),
-        )
-        for doc in docs
-    ]
+    rules = []
+    for i, doc in enumerate(docs):
+        part = f"{name}: rule {i}"
+        jsondoc.checked(doc, jsondoc.OBJECT, part)
+        jsondoc.entry(doc, "antecedent", _ITEMS, part)
+        jsondoc.entry(doc, "consequent", jsondoc.OBJECT, part)
+        try:
+            rules.append(Rule(
+                frozenset(_item_from_doc(d, by_name) for d in doc["antecedent"]),
+                _item_from_doc(doc["consequent"], by_name),
+                support=doc.get("support"),
+                confidence=doc.get("confidence"),
+                zhang=doc.get("zhang"),
+            ))
+        except ValueError as exc:  # an unknown item, or items that make no rule
+            raise ValueError(f"{part}: {exc}") from None
+    return rules

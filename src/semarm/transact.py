@@ -4,7 +4,6 @@ semantically enriched, one-hot encodable transactions."""
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -48,35 +47,6 @@ class SensorSeries:
     codes: np.ndarray  # int64
     vocab: list[str]
 
-    @classmethod
-    def from_readings(cls, readings: dict[tuple[str, float], float | str]) -> SensorSeries:
-        """Columns of a (sensor_id, timestamp) -> value mapping, in its order; a
-        sensor's values are all floats (measurements) or all strings (states)."""
-        names, name_of = _factorized([name for name, _ in readings])
-        timestamps = np.array([ts for _, ts in readings], dtype=np.float64)
-        return cls._from_columns(names, name_of, timestamps, list(readings.values()),
-                                 np.arange(len(readings)))
-
-    @classmethod
-    def _from_columns(cls, names, name_of, timestamps, values, value_of) -> SensorSeries:
-        """Reading i: distinct sensor ``names[name_of[i]]``, valued ``values[value_of[i]]``."""
-        sensors = sorted(names)
-        rank = {s: i for i, s in enumerate(sensors)}
-        sensor = np.fromiter(map(rank.__getitem__, names), np.int64, len(names))[name_of]
-        vocab = sorted({v for v in values if isinstance(v, str)})
-        codes = np.fromiter(map({v: i for i, v in enumerate(vocab)}.get, values, repeat(-1)),
-                            np.int64, len(values))[value_of]
-        numeric = codes < 0
-        # each sensor's kind is that of its first reading; name the first reading against it
-        _, first = np.unique(sensor, return_index=True)
-        mixed = np.flatnonzero(numeric != numeric[first][sensor])
-        if mixed.size:
-            raise ValueError(f"sensor {sensors[sensor[mixed[0]]]!r} mixes numeric and "
-                             "categorical values")
-        floats = np.array([0.0 if isinstance(v, str) else v for v in values], np.float64)
-        numbers = np.where(numeric, floats[value_of], 0.0)
-        return cls(sensors, sensor, timestamps, numbers, codes, vocab)
-
     @property
     def readings(self) -> MappingProxyType:
         """Read-only (sensor_id, timestamp) -> value mapping, in column order."""
@@ -108,56 +78,65 @@ def _parse_timestamp(text: str) -> float:
 
 
 def _parse_value(raw: str) -> float | str:
-    """A stripped, non-empty value: a number unless quoted or not a decimal."""
+    """A stripped, non-empty value: a number (maybe non-finite) unless quoted or not a decimal."""
     if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
         return raw[1:-1]
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         return raw
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {raw!r}")
-    return value
 
 
-def _factorized(texts: list[str]):
-    """The distinct texts in first-seen order, and the index of each text."""
-    first: dict[str, int] = {}
-    at = np.fromiter(map(first.setdefault, texts, count()), np.int64, len(texts))
-    return list(first), np.unique(at, return_inverse=True)[1]
+def _timestamp_or_nan(text: str) -> float:
+    """``_parse_timestamp(text)``, or NaN for text it refuses."""
+    try:
+        return _parse_timestamp(text)
+    except ValueError:
+        return math.nan
+
+
+def _line_fault(fields: list[str], repeated: bool) -> str:
+    """Why a 3-field line failing a check is refused; ``repeated``: an earlier line has its key."""
+    ts_text, sensor, raw = (f.strip() for f in fields)
+    if not sensor:
+        return "empty sensor_id"
+    if not raw:
+        return "empty value"
+    try:
+        key = (sensor, _parse_timestamp(ts_text))
+    except ValueError as exc:
+        return str(exc)
+    return f"duplicate reading for {key}" if repeated else f"non-finite value {raw!r}"
 
 
 def load_sensor_csv(source, name: str | None = None) -> SensorSeries:
     """Parse sensor reading CSV with header ``timestamp,sensor_id,value``.
 
-    Values wrapped in double quotes are categorical; unquoted values are
-    parsed as decimals, falling back to categorical for non-numeric text.
-    Fields are stripped of whitespace as ``str.strip`` does, Unicode included.
-    Duplicate (sensor, timestamp) keys, empty sensor ids or values,
-    unparseable timestamps and non-finite numbers are rejected with the
-    line number. Bytes are decoded as UTF-8 with universal newlines, as a
-    text-mode open reads them, and a byte that is not UTF-8 is named by line.
-    Every message starts with ``name``, when one is given.
-    The columns are built from the bytes, each distinct field decoded and
-    parsed once; a per-line loop runs only to name a failing line.
+    Values wrapped in double quotes are categorical; unquoted values are parsed as
+    decimals, falling back to categorical for non-numeric text. Fields are stripped of
+    whitespace as ``str.strip`` does, Unicode included. Bytes are decoded as UTF-8 with
+    universal newlines, as a text-mode open reads them; a str is read as its UTF-8 bytes,
+    a lone surrogate as bytes that are not UTF-8. The first line that fails a check is
+    named by number with the message of a ``csv`` loop over the lines, which refuses a
+    NUL, a field over ``csv.field_size_limit()`` characters, other than three fields,
+    empty fields, unparseable timestamps, duplicate (sensor, timestamp) keys, non-finite
+    numbers and a sensor that mixes numbers with states. Every message starts with
+    ``name``, when one is given.
     """
     try:
         if hasattr(source, "read"):
             source = source.read()
-        text = source
-        if isinstance(source, bytes):
-            if b"\r" in source:
-                source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            try:
-                text = source.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = source.count(b"\n", 0, exc.start) + 1
-                raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
-                                 f"({exc.reason})") from None
+        if isinstance(source, str):
+            source = source.encode("utf-8", "surrogatepass")
+        if b"\r" in source:
+            source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
-            return _load_columns(source)
-        except ValueError:  # the per-line loop names the first failing line
-            return _load_lines(text)
+            source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = source.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
+                             f"({exc.reason})") from None
+        return _load_columns(source)
     except ValueError as exc:
         if name is None:
             raise
@@ -199,77 +178,98 @@ def _byte_factorized(words: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     stripped = list(map(str.strip, texts))
     if stripped == texts:  # distinct bytes, so distinct texts
         return texts, codes
-    stripped, merged = _factorized(stripped)
-    return stripped, merged[codes]
+    first: dict[str, int] = {}  # the distinct stripped texts in first-seen order
+    at = np.fromiter(map(first.setdefault, stripped, count()), np.int64, len(stripped))
+    return list(first), np.unique(at, return_inverse=True)[1][codes]
 
 
-def _load_columns(source: str | bytes) -> SensorSeries:
-    """``_load_lines`` of the text of ``source``, UTF-8 bytes with newlines
-    translated or a str, built a column at a time from its bytes; raises
-    ValueError wherever that loop might raise or read the text differently."""
-    data = source if isinstance(source, bytes) else source.replace("\r\n", "\n").encode()
-    # csv ends a record at a lone \r, and before Python 3.11 rejects a NUL
-    if b"\r" in data or b"\0" in data:
-        raise ValueError("not a plain sensor CSV")
+def _structural_fault(data, buf, starts, stops, commas, header: bool):
+    """(i, message) for the first line ``[starts[i], stops[i])`` that csv refuses, that is not
+    three fields or, as line 0, not the header; (len(starts), None) if there is none."""
+    limit = csv.field_size_limit()
+    nuls = np.flatnonzero(buf == 0)
+    nul = np.searchsorted(nuls, starts) < np.searchsorted(nuls, stops)
+    fields = np.searchsorted(commas, stops) - np.searchsorted(commas, starts) + 1
+    over = stops - starts > limit  # bytes; csv limits the characters of a field
+    over[over] = [max(map(len, data[a:b].decode().split(","))) > limit
+                  for a, b in zip(starts[over].tolist(), stops[over].tolist())]
+    bad = over | nul | (fields != 3)
+    bad[0] |= not header
+    if not bad.any():
+        return len(starts), None
+    i = int(np.argmax(bad))
+    line = data.count(b"\n", 0, starts[i]) + 1
+    if over[i]:
+        return i, f"line {line}: field larger than field limit ({limit})"
+    if nul[i]:  # as csv before Python 3.11, keeping every field free of NULs
+        return i, f"line {line}: line contains NUL"
+    if i == 0:
+        return i, "sensor CSV must start with header 'timestamp,sensor_id,value'"
+    return i, f"line {line}: expected 3 fields, got {fields[i]}"
+
+
+def _load_columns(data: bytes) -> SensorSeries:
+    """The series of UTF-8 ``data`` with newlines translated, built and checked by column."""
     padded = data + bytes(8)
     buf = np.frombuffer(padded, np.uint8)[:len(data)]
     ends = np.flatnonzero(buf == ord("\n"))
     starts, stops = np.r_[0, ends + 1], np.r_[ends, len(data)]
-    lines = stops > starts  # csv skips blank lines
+    lines = (stops > starts) | (starts == 0)  # csv skips blank lines but line 1, the header
     starts, stops = starts[lines], stops[lines]
     commas = np.flatnonzero(buf == ord(","))
+    header = [h.strip() for h in data[:stops[0]].decode().split(",")] == HEADER
+    end, fault = len(starts), None
     # with as many commas as two per line, comma pair k inside line k puts two
     # in each line; a line's byte count is at least the character count csv limits
-    if ([h.strip() for h in data.partition(b"\n")[0].decode().split(",")] != HEADER
-            or commas.size != 2 * len(starts)
+    if (not header or b"\0" in data or commas.size != 2 * len(starts)
             or (stops - starts).max() > csv.field_size_limit()
             or not ((commas[0::2] >= starts) & (commas[1::2] < stops)).all()):
-        raise ValueError("not a plain sensor CSV")
-    first, second, starts, stops = commas[2::2], commas[3::2], starts[1:], stops[1:]
+        end, fault = _structural_fault(data, buf, starts, stops, commas, header)
+    # the lines before the first structural fault are data lines of three fields
+    first, second = commas[2:2 * end:2], commas[3:2 * end:2]
+    starts, stops = starts[1:end], stops[1:end]
     words = np.ndarray(len(data) + 1, "<u8", padded, strides=(1,))
     stamps, stamp_of = _byte_factorized(words, starts, first)
     names, name_of = _byte_factorized(words, first + 1, second)
     raws, value_of = _byte_factorized(words, second + 1, stops)
     try:
         stamps = np.fromiter(map(float, stamps), np.float64, len(stamps))
-    except ValueError:  # ISO-8601
-        stamps = np.array([_parse_timestamp(t) for t in stamps], np.float64)
+    except ValueError:  # ISO-8601, or a timestamp that the check below refuses
+        stamps = np.array([_timestamp_or_nan(t) for t in stamps], np.float64)
+    values = list(map(_parse_value, raws))
+    floats = np.array([0.0 if isinstance(v, str) else v for v in values], np.float64)
     _, moment = np.unique(stamps, return_inverse=True)  # as dict keys, -0.0 == 0.0
-    if (not np.isfinite(stamps).all() or "" in names or "" in raws
-            or not np.diff(np.sort(moment[stamp_of] * len(names) + name_of)).all()):
-        raise ValueError("a line fails a check")
-    return SensorSeries._from_columns(names, name_of, stamps[stamp_of],
-                                      list(map(_parse_value, raws)), value_of)
-
-
-def _load_lines(text: str) -> SensorSeries:
-    """The series of ``text`` read line by line, refusing the first line that fails a check."""
-    reader = csv.reader(io.StringIO(text), quoting=csv.QUOTE_NONE)
-    try:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != HEADER:
-            raise ValueError("sensor CSV must start with header 'timestamp,sensor_id,value'")
-        readings: dict[tuple[str, float], float | str] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            ts_text, sensor, raw = (f.strip() for f in row)
-            if not sensor:
-                raise ValueError(f"line {lineno}: empty sensor_id")
-            if not raw:
-                raise ValueError(f"line {lineno}: empty value")
-            try:
-                key = (sensor, _parse_timestamp(ts_text))
-                if key in readings:
-                    raise ValueError(f"duplicate reading for {key}")
-                readings[key] = _parse_value(raw)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return SensorSeries.from_readings(readings)
+    keys = moment[stamp_of] * len(names) + name_of
+    unique = np.diff(np.sort(keys)).all()
+    if (not unique or not np.isfinite(stamps).all() or "" in names or "" in raws
+            or not np.isfinite(floats).all()):
+        repeated = np.full(len(keys), not unique)
+        if not unique:
+            repeated[np.unique(keys, return_index=True)[1]] = False
+        failed = (repeated | ~np.isfinite(stamps)[stamp_of]
+                  | np.array([not n for n in names], bool)[name_of]
+                  | (~np.isfinite(floats) | [not r for r in raws])[value_of])
+        i = int(np.argmax(failed))
+        line = data.count(b"\n", 0, starts[i]) + 1
+        message = _line_fault(data[starts[i]:stops[i]].decode().split(","), repeated[i])
+        raise ValueError(f"line {line}: {message}")
+    if fault:
+        raise ValueError(fault)
+    sensors = sorted(names)
+    rank = {s: i for i, s in enumerate(sensors)}
+    sensor = np.fromiter(map(rank.__getitem__, names), np.int64, len(names))[name_of]
+    vocab = sorted({v for v in values if isinstance(v, str)})
+    codes = np.fromiter(map({v: i for i, v in enumerate(vocab)}.get, values, repeat(-1)),
+                        np.int64, len(values))[value_of]
+    numeric = codes < 0
+    # each sensor's kind is that of its first reading; name the first reading against it
+    _, head = np.unique(sensor, return_index=True)
+    mixed = np.flatnonzero(numeric != numeric[head][sensor])
+    if mixed.size:
+        line = data.count(b"\n", 0, starts[mixed[0]]) + 1
+        raise ValueError(f"line {line}: sensor {sensors[sensor[mixed[0]]]!r} mixes numeric "
+                         "and categorical values")
+    return SensorSeries(sensors, sensor, stamps[stamp_of], floats[value_of], codes, vocab)
 
 
 def _segment_means(values: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray:

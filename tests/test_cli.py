@@ -123,6 +123,16 @@ class TestTrain:
                    "--model", out / "model.json", "--out", out) == 0
 
 
+@pytest.mark.parametrize("command", ["train", "baseline"])
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_sensors_below_one_is_named_data_error(small_csv, tmp_path, capsys, command,
+                                                      count):
+    extra = ["--min-support", 0.5] if command == "baseline" else ["--epochs", 1]
+    assert run(command, "--sensors", small_csv, "--out", tmp_path, "--sample-sensors", count,
+               *extra) == 3
+    assert "--sample-sensors must be at least 1" in single_data_error(capsys)
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize(
         "bad_line, message",
@@ -135,7 +145,8 @@ class TestMalformedCsv:
             (",s1,3.5", "line 4: Invalid isoformat string"),
             ("120,s1,3.5,x", "line 4: expected 3 fields, got 4"),
             ("-0.0,s1,3.5", "line 4: duplicate reading for ('s1', -0.0)"),
-            ("120,s1,\"a\"", "sensor 's1' mixes numeric and categorical values"),
+            pytest.param("120,s1,\"a\"", "line 4: sensor 's1' mixes numeric and categorical values",
+                         id="120,s1,\"a\"-sensor 's1' mixes numeric and categorical values"),
             pytest.param("120,s1," + "7" * 131073, "line 4: field larger than field limit",
                          id="field-over-csv-limit"),
         ],
@@ -367,6 +378,14 @@ class TestMalformedJsonInput:
         (_mine_after_editing("manifest.json", lambda doc: json.dumps(doc)[:6]),
          "manifest.json: invalid JSON"),
         (_coupled_baseline("[\n"), "rules.json: invalid JSON"),
+        (_coupled_baseline([{"antecedent": [S1_A], "consequent": {"feature": "s1", "class": "b"}}]),
+         "rules.json: rule 0: consequent feature may not appear in the antecedent"),
+        (_coupled_baseline([{"antecedent": [], "consequent": S1_A}]),
+         "rules.json: rule 0: antecedent must be non-empty"),
+        (_coupled_baseline([{"antecedent": [S1_A], "consequent": {"feature": "s2", "class": "c"}},
+                            {"antecedent": [{"feature": "ghost", "class": "a"}],
+                             "consequent": S1_A}]),
+         "rules.json: rule 1: unknown feature or class in rule document"),
     ], ids=["rule-number", "antecedent-string", "consequent-string", "item-feature-list",
             "planted-rule-number", "planted-number", "planted-antecedent-number",
             "pipeline-number", "manifest-list", "config-list", "config-unknown-key",
@@ -376,7 +395,8 @@ class TestMalformedJsonInput:
             "planted-confidence-string", "planted-triple", "planted-no-antecedent",
             "planted-truncated", "manifest-no-pipeline", "manifest-no-features",
             "manifest-no-sensors", "model-no-config", "model-truncated", "manifest-truncated",
-            "rules-truncated"])
+            "rules-truncated", "rule-consequent-in-antecedent", "rule-empty-antecedent",
+            "rule-unknown-feature"])
     def test_is_named_data_error(self, small_csv, tmp_path, capsys, argv, part):
         args = argv(small_csv, tmp_path)
         capsys.readouterr()
@@ -394,6 +414,18 @@ class TestMine:
         assert code == 3
         err = single_data_error(capsys)
         assert "--mark-features" in err and "'nosuch'" in err
+
+    @pytest.mark.parametrize("value", [",", " "], ids=["comma", "space"])
+    def test_mark_features_naming_nothing_is_named_data_error(self, small_csv, tmp_path, capsys,
+                                                              value):
+        out = tmp_path / "run"
+        assert run("train", "--sensors", small_csv, "--out", out, "--epochs", 1) == 0
+        capsys.readouterr()
+        code = run("mine", "--sensors", small_csv, "--model", out / "model.json",
+                   "--out", out, "--mark-features", value)
+        assert code == 3
+        assert "--mark-features names no feature" in single_data_error(capsys)
+        assert not (out / "rules.json").exists()
 
     def test_planted_rules_recovered(self, dataset, trained, capsys):
         assert run("mine", "--sensors", dataset / "sensors.csv",

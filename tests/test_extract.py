@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -311,6 +312,22 @@ class TestRuleModel:
                "consequent": {"feature": "s2", "class": "b"}}
         with pytest.raises(ValueError, match="unknown feature or class"):
             rules_from_json(json.dumps([doc]), features)
+
+    @pytest.mark.parametrize("antecedent, consequent, message", [
+        ([{"feature": "s1", "class": "a"}], {"feature": "s1", "class": "b"},
+         "consequent feature may not appear in the antecedent"),
+        ([], {"feature": "s2", "class": "c"}, "antecedent must be non-empty"),
+        ([{"feature": "ghost", "class": "a"}], {"feature": "s2", "class": "c"},
+         "unknown feature or class in rule document"),
+    ], ids=["consequent-in-antecedent", "empty-antecedent", "unknown-feature"])
+    def test_rules_from_json_errors_name_the_document_and_rule(self, antecedent, consequent,
+                                                               message):
+        features = [Feature("s1", "categorical", ["a", "b"]), Feature("s2", "categorical", ["c"])]
+        valid = {"antecedent": [{"feature": "s1", "class": "a"}],
+                 "consequent": {"feature": "s2", "class": "c"}}
+        text = json.dumps([valid, {"antecedent": antecedent, "consequent": consequent}])
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rules f.json: rule 1: {message}')}"):
+            rules_from_json(text, features, "rules f.json")
 
 
 class TestRulesJsonWriter:

@@ -36,6 +36,26 @@ from semarm.transact import (
 from conftest import WATER_GRAPH, expected_one_hot, make_random_table
 
 
+def oracle_from_readings(readings) -> SensorSeries:
+    """The series of a (sensor_id, timestamp) -> value mapping, in its order."""
+    names = [sensor for sensor, _ in readings]
+    sensors = sorted(set(names))
+    index = {s: i for i, s in enumerate(sensors)}
+    sensor = np.array([index[s] for s in names], dtype=np.int64)
+    raw = list(readings.values())
+    vocab = sorted(v for v in set(raw) if isinstance(v, str))
+    code = {v: i for i, v in enumerate(vocab)}
+    codes = np.array([code.get(v, -1) for v in raw], dtype=np.int64)
+    numeric = codes < 0
+    _, first = np.unique(sensor, return_index=True)
+    mixed = np.flatnonzero(numeric != numeric[first][sensor])
+    if mixed.size:
+        raise ValueError(f"sensor {names[mixed[0]]!r} mixes numeric and categorical values")
+    numbers = np.where(numeric, np.array(raw, dtype=object), 0.0).astype(np.float64)
+    timestamps = np.array([ts for _, ts in readings], dtype=np.float64)
+    return SensorSeries(sensors, sensor, timestamps, numbers, codes, vocab)
+
+
 class TestSensorCsv:
     def test_parses_numeric_and_quoted_categorical(self):
         text = 'timestamp,sensor_id,value\n0,s1,2.5\n60,s1,4.5\n0,door,"open"\n60,door,"closed"\n'
@@ -65,30 +85,30 @@ class TestSensorCsv:
 
     def test_mixed_types_name_the_first_conflicting_reading(self):
         text = 'timestamp,sensor_id,value\n0,s2,1\n0,s1,"a"\n60,s2,"x"\n60,s1,2\n'
-        with pytest.raises(ValueError, match="sensor 's2' mixes"):
+        with pytest.raises(ValueError, match="^line 4: sensor 's2' mixes"):
             load_sensor_csv(text)
 
 
 class TestAggregate:
     def test_numeric_mean_per_window(self):
-        series = SensorSeries.from_readings({("s1", 0.0): 2.0, ("s1", 30.0): 4.0})
+        series = oracle_from_readings({("s1", 0.0): 2.0, ("s1", 30.0): 4.0})
         out = aggregate(series, 60.0)
         assert out.readings == {("s1", 0.0): 3.0}
 
     def test_categorical_mode(self):
-        series = SensorSeries.from_readings(
+        series = oracle_from_readings(
             {("door", 0.0): "open", ("door", 10.0): "open", ("door", 20.0): "closed"}
         )
         out = aggregate(series, 60.0)
         assert out.readings == {("door", 0.0): "open"}
 
     def test_mode_tie_breaks_lexicographically(self):
-        series = SensorSeries.from_readings({("door", 0.0): "open", ("door", 10.0): "closed"})
+        series = oracle_from_readings({("door", 0.0): "open", ("door", 10.0): "closed"})
         out = aggregate(series, 60.0)
         assert out.readings[("door", 0.0)] == "closed"
 
     def test_windows_without_all_sensors_are_dropped(self):
-        series = SensorSeries.from_readings(
+        series = oracle_from_readings(
             {("s1", 0.0): 1.0, ("s1", 60.0): 2.0, ("s2", 0.0): 5.0}
         )
         out = aggregate(series, 60.0)
@@ -96,16 +116,16 @@ class TestAggregate:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(SensorSeries.from_readings({}), 60.0)
+            aggregate(oracle_from_readings({}), 60.0)
 
     def test_tiny_window_that_does_not_overflow_is_one_window_per_timestamp(self):
-        series = SensorSeries.from_readings({("s1", 0.0): 1.0, ("s1", 60.0): 2.0})
+        series = oracle_from_readings({("s1", 0.0): 1.0, ("s1", 60.0): 2.0})
         assert aggregate(series, 1e-300).readings == {("s1", 0.0): 1.0, ("s1", 60.0): 2.0}
 
     def test_nonpositive_window_rejected(self):
         for window in (0.0, -60.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="window must be positive and finite"):
-                aggregate(SensorSeries.from_readings({("s1", 0.0): 1.0}), window)
+                aggregate(oracle_from_readings({("s1", 0.0): 1.0}), window)
 
 
 def brute_force_bin_counts(values, assignment):
@@ -134,7 +154,7 @@ class TestDiscretize:
         assert disc.labels == ["1-1", "2-4"]
 
     def test_bounds_equal_to_twelve_digits_get_exact_labels(self):
-        series = SensorSeries.from_readings({("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3})
+        series = oracle_from_readings({("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3})
         table = build_transactions(series, intervals=2)
         assert table.features[0].class_values == [
             "0.3-0.3", "0.30000000000000004-0.30000000000000004"
@@ -144,7 +164,7 @@ class TestDiscretize:
     def test_exact_labels_only_in_the_colliding_column(self):
         readings = {("s", 0.0): 0.1 + 0.2, ("s", 60.0): 0.3, ("s", 120.0): 2.5}
         readings.update({("t", 0.0): 0.1, ("t", 60.0): 0.25, ("t", 120.0): 1 / 3})
-        table = build_transactions(SensorSeries.from_readings(readings), intervals=3)
+        table = build_transactions(oracle_from_readings(readings), intervals=3)
         assert table.features[0].class_values == [
             "0.3-0.3", "0.30000000000000004-0.30000000000000004", "2.5-2.5"
         ]
@@ -187,7 +207,7 @@ def series_for(sensors, n_windows, rng=None):
     for sensor in sensors:
         for w in range(n_windows):
             readings[(sensor, float(w * 60))] = float(rng.normal())
-    return SensorSeries.from_readings(readings)
+    return oracle_from_readings(readings)
 
 
 class TestBuildTransactions:
@@ -255,11 +275,11 @@ class TestBuildTransactions:
     def test_non_aggregated_series_rejected(self):
         readings = {("a", 0.0): 1.0, ("a", 60.0): 2.0, ("b", 0.0): 3.0}
         with pytest.raises(ValueError, match="aggregated"):
-            build_transactions(SensorSeries.from_readings(readings))
+            build_transactions(oracle_from_readings(readings))
 
     def test_categorical_sensor_classes_sorted(self):
         readings = {("d", 0.0): "open", ("d", 60.0): "closed", ("d", 120.0): "open"}
-        table = build_transactions(SensorSeries.from_readings(readings))
+        table = build_transactions(oracle_from_readings(readings))
         assert table.features[0].class_values == ["closed", "open"]
         assert list(table.rows[:, 0]) == [1, 0, 1]
 
@@ -364,7 +384,7 @@ def oracle_aggregate(series: SensorSeries, window: float) -> SensorSeries:
                 # a left fold: what sum() computes before Python 3.12, which
                 # made sum() of floats compensated
                 out[(sensor, start)] = float(reduce(add, values, 0)) / len(values)
-    return SensorSeries.from_readings(out)
+    return oracle_from_readings(out)
 
 
 def oracle_discretize(values, intervals):
@@ -494,7 +514,7 @@ def raw_readings(draw, names=SENSOR_NAMES):
 
 
 def raw_series():
-    return raw_readings().map(lambda drawn: (SensorSeries.from_readings(drawn[0]), drawn[1]))
+    return raw_readings().map(lambda drawn: (oracle_from_readings(drawn[0]), drawn[1]))
 
 
 class TestSeriesColumns:
@@ -502,7 +522,7 @@ class TestSeriesColumns:
     @settings(max_examples=150, deadline=None)
     def test_readings_view_round_trips(self, drawn):
         readings, _ = drawn
-        view = SensorSeries.from_readings(readings).readings
+        view = oracle_from_readings(readings).readings
         assert exact_items(view) == exact_items(readings)
 
     @given(raw_readings(), st.sets(st.sampled_from(SENSOR_NAMES)))
@@ -510,7 +530,7 @@ class TestSeriesColumns:
     @settings(max_examples=150, deadline=None)
     def test_select_matches_filter(self, drawn, names):
         readings, window = drawn
-        selected = SensorSeries.from_readings(readings).select(names)
+        selected = oracle_from_readings(readings).select(names)
         expected = {key: v for key, v in readings.items() if key[0] in names}
         assert exact_items(selected.readings) == exact_items(expected)
         assert selected.sensors == sorted({sensor for sensor, _ in expected})
@@ -521,7 +541,7 @@ class TestSeriesColumns:
                 except ValueError as exc:
                     return str(exc)
 
-            assert outcome(selected) == outcome(SensorSeries.from_readings(expected))
+            assert outcome(selected) == outcome(oracle_from_readings(expected))
         else:  # the selection removed every reading
             assert selected.timestamps.size == 0
 
@@ -529,7 +549,7 @@ class TestSeriesColumns:
 
 class TestColumnarMatchesOracle:
     @given(raw_series())
-    @example((SensorSeries.from_readings({}), 60.0))  # every sensor missed every window
+    @example((oracle_from_readings({}), 60.0))  # every sensor missed every window
     @settings(max_examples=150, deadline=None)
     def test_aggregate(self, drawn):
         series, window = drawn
@@ -546,8 +566,8 @@ class TestColumnarMatchesOracle:
             assert exact_items(aggregate(series, window).readings) == exact_items(expected.readings)
 
     @given(raw_series(), st.integers(1, 12), st.sampled_from([None, 0, 1, 2]), st.booleans())
-    @example((SensorSeries.from_readings({}), 60.0), 1, None, False)
-    @example((SensorSeries.from_readings({}), 60.0), 1, None, True)
+    @example((oracle_from_readings({}), 60.0), 1, None, False)
+    @example((oracle_from_readings({}), 60.0), 1, None, True)
     @settings(max_examples=150, deadline=None)
     def test_build_transactions(self, drawn, intervals, depth, pre_aggregate):
         series, window = drawn
@@ -592,8 +612,10 @@ class TestColumnarMatchesOracle:
         assert all(type(a) is int for a in disc.assignment)
 
 
-# The per-line sensor-CSV loader and the column building it ended in, as they
-# were before load_sensor_csv built its columns a column at a time.
+# The per-line sensor-CSV loader, as it was before load_sensor_csv built its
+# columns a column at a time; a NUL is refused on every Python, as csv does
+# before 3.11, and a sensor that mixes kinds is named by its first line that
+# differs from the sensor's first reading.
 
 
 def oracle_load_sensor_csv(source) -> SensorSeries:
@@ -608,12 +630,21 @@ def oracle_load_sensor_csv(source) -> SensorSeries:
             raise ValueError(f"line {line}: byte {source[exc.start]:#04x} is not UTF-8 "
                              f"({exc.reason})") from None
     reader = csv.reader(io.StringIO(source), quoting=csv.QUOTE_NONE)
+
+    def rows():
+        for lineno, row in enumerate(reader, start=1):
+            if any("\0" in field for field in row):
+                raise ValueError(f"line {lineno}: line contains NUL")
+            yield row
+
+    lines = rows()
     try:
-        header = next(reader, None)
+        header = next(lines, None)
         if header is None or [h.strip() for h in header] != ["timestamp", "sensor_id", "value"]:
             raise ValueError("sensor CSV must start with header 'timestamp,sensor_id,value'")
         readings: dict[tuple[str, float], float | str] = {}
-        for lineno, row in enumerate(reader, start=2):
+        kinds, mixed = {}, None
+        for lineno, row in enumerate(lines, start=2):
             if not row:
                 continue
             if len(row) != 3:
@@ -640,28 +671,13 @@ def oracle_load_sensor_csv(source) -> SensorSeries:
                     if not math.isfinite(value):
                         raise ValueError(f"line {lineno}: non-finite value {raw!r}")
             readings[key] = value
+            if kinds.setdefault(sensor, type(value)) is not type(value) and mixed is None:
+                mixed = f"line {lineno}: sensor {sensor!r} mixes numeric and categorical values"
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if mixed is not None:
+        raise ValueError(mixed)
     return oracle_from_readings(readings)
-
-
-def oracle_from_readings(readings) -> SensorSeries:
-    names = [sensor for sensor, _ in readings]
-    sensors = sorted(set(names))
-    index = {s: i for i, s in enumerate(sensors)}
-    sensor = np.array([index[s] for s in names], dtype=np.int64)
-    raw = list(readings.values())
-    vocab = sorted(v for v in set(raw) if isinstance(v, str))
-    code = {v: i for i, v in enumerate(vocab)}
-    codes = np.array([code.get(v, -1) for v in raw], dtype=np.int64)
-    numeric = codes < 0
-    _, first = np.unique(sensor, return_index=True)
-    mixed = np.flatnonzero(numeric != numeric[first][sensor])
-    if mixed.size:
-        raise ValueError(f"sensor {names[mixed[0]]!r} mixes numeric and categorical values")
-    numbers = np.where(numeric, np.array(raw, dtype=object), 0.0).astype(np.float64)
-    timestamps = np.array([ts for _, ts in readings], dtype=np.float64)
-    return SensorSeries(sensors, sensor, timestamps, numbers, codes, vocab)
 
 
 def csv_outcome(load, source):
@@ -685,7 +701,7 @@ LABELS = ['"a"', '"b"', '"1"', '""', "open", "closed", "a", '"state_open_1"', '"
           "valve_closed_1", "valve_closed_2", '"fermé"', "geöffnet"]
 PADDING = [" {} ", "\t{}", "{}\x1c", "\u00a0{}", "{}\u2003", "\x85{}\x85"]
 CSV_FAULTS = ["fields", "empty", "non-finite", "duplicate", "mixed", "iso", "padding",
-              "blank", "crlf", "cr", "non-utf8", "over-limit"]
+              "blank", "crlf", "cr", "non-utf8", "over-limit", "nul", "surrogate"]
 
 
 @st.composite
@@ -720,6 +736,11 @@ def sensor_csv(draw):
         for r in rows:
             if draw(st.booleans()):
                 r[field] = draw(st.sampled_from(PADDING)).format(r[field])
+    elif fault in ("nul", "surrogate"):
+        field = draw(st.integers(0, 2))
+        cut = draw(st.integers(0, len(row[field])))
+        odd = {"nul": "\0", "surrogate": "\ud800"}[fault]
+        row[field] = row[field][:cut] + odd + row[field][cut:]
     elif fault == "over-limit":
         width = csv.field_size_limit() + draw(st.integers(0, 1))
         row[2] = draw(st.sampled_from(["7", "a", '"'])) * width
@@ -735,6 +756,8 @@ def sensor_csv(draw):
         data = text.encode()
         cut = draw(st.integers(0, len(data)))
         return data[:cut] + b"\xff" + data[cut:], fault
+    if fault == "surrogate":
+        return text, fault
     return (text.encode() if draw(st.booleans()) else text), fault
 
 
@@ -749,17 +772,29 @@ class TestSensorCsvMatchesOracle:
     @example(("timestamp,sensor_id,value\n", None), None)
     @example(('timestamp,sensor_id,value\n0,s1, a\n60,s1,a\n120, s1 ,\u2003"b"\n', "padding"), None)
     @example(("timestamp" + " " * 131073 + ",sensor_id,value\n0,s1,1\n", "over-limit"), None)
+    @example(("timestamp,sensor_id,value\n0,s1,1\n60,s1,", "empty"), None)  # the last line
+    @example(("timestamp,sensor_id,value\n0,s1,nan\n60,s1,\n0,s1,2\n60,,1\n", "empty"), None)
+    @example((b"timestamp,sensor_id,value\n0,s1,\x00" + b"a" * 131073 + b"\n", "over-limit"), None)
+    @example(('timestamp,sensor_id,value\n0,s1,1\n60,s1,"a"\n120,s1,nan\n', "mixed"), None)
+    @example(("timestamp,sensor_id,value\n0,s1,\n60,s1,1,2\n", "empty"), None)  # a field first
+    @example(("timestamp,sensor_id,value\n0,s1\n60,s1,\n", "fields"), None)  # a line's shape first
+    @example((b"timestamp,sensor_id,value\n0,s1,inf\n60,s1,\x00\n", "nul"), None)
+    @example((b"timestamp,sensor_id,value\n0,s1,1\n60\x00,s1,\n", "nul"), None)
+    @example((b"timestamp,sensor_id\x00,value\n", "nul"), None)
+    @example(("timestamp,sensor_id,value\r0,s1,1\r60,s1,2\r", "cr"), None)  # a str's lone \r
+    @example(("timestamp,sensor_id,value\n0,s1,\ud800\n", "surrogate"), None)
     @settings(max_examples=400, deadline=None)
     def test_columns_or_message_match_the_per_line_loader(self, drawn, name):
         source, _ = drawn
-        expected = csv_outcome(oracle_load_sensor_csv, source)
+        data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
+        expected = csv_outcome(oracle_load_sensor_csv, data)
         if name is not None and isinstance(expected, str):
             expected = f"{name}: {expected}"
         assert csv_outcome(lambda s: load_sensor_csv(s, name), source) == expected
 
     @pytest.mark.parametrize("kind", ["categorical", "numeric", "iso", "padded", "wide",
                                       "non-ascii"])
-    def test_valid_input_takes_the_column_path(self, monkeypatch, kind):
+    def test_valid_input_takes_the_column_path(self, kind):
         _, text, _ = build_dataset(SyntheticSpec(4, 3, 50, seed=8))
         if kind == "numeric":  # s00 and s02 read numbers, s01 and s03 states
             text = re.sub(r'(s0[02]),"c(\d)"', r"\1,\2.5", text)
@@ -775,13 +810,27 @@ class TestSensorCsvMatchesOracle:
             text = re.sub(r',s0(\d),"c(\d)"', r',température_\1,"état_\2"', text)
         expected = csv_outcome(oracle_load_sensor_csv, text)
         assert not isinstance(expected, str)
-
-        def refuse(text):
-            raise AssertionError("valid input fell back to the per-line loop")
-
-        monkeypatch.setattr(transact, "_load_lines", refuse)
         assert csv_outcome(load_sensor_csv, text) == expected
         assert csv_outcome(load_sensor_csv, text.encode()) == expected
+
+    @pytest.mark.parametrize("bad_line", ["6000,s0,", "6000,s0,nan", "x,s0,1.5", "0,s0,1.5",
+                                          "6000,s0", "6000,s0,1.5\0", '6000,s0,"a"'])
+    def test_a_bad_last_line_parses_each_distinct_field_at_most_once(self, monkeypatch,
+                                                                      bad_line):
+        rows = [[str(ts), f"s{i}", ["1.5", "2.5", '"a"', '"b"'][i // 5 * 2 + ts // 60 % 2]]
+                for ts in range(0, 6000, 60) for i in range(10)]
+        text = "\n".join(["timestamp,sensor_id,value", *map(",".join, rows), bad_line]) + "\n"
+        expected = csv_outcome(oracle_load_sensor_csv, text)
+        assert isinstance(expected, str) and expected.startswith("line 1002: ")
+        calls = []
+        for parse in ("_parse_timestamp", "_parse_value"):
+            def counted(text, parse=getattr(transact, parse)):
+                calls.append(text)
+                return parse(text)
+            monkeypatch.setattr(transact, parse, counted)
+        assert csv_outcome(load_sensor_csv, text) == expected
+        distinct = sum(len({row[k] for row in rows}) for k in range(3))
+        assert len(calls) <= distinct < len(rows)
 
     def test_fields_that_mix_to_one_number_are_told_apart_by_their_bytes(self, monkeypatch):
         # with no mixing a field's number is its last word, "001" for both ids
@@ -789,6 +838,5 @@ class TestSensorCsvMatchesOracle:
                 "60,sensor_0001,1\n60,sensor_1001,1\n")
         expected = csv_outcome(oracle_load_sensor_csv, text)
         monkeypatch.setattr(transact, "_MIX", np.uint64(0))
-        monkeypatch.setattr(transact, "_load_lines", None)
         assert csv_outcome(load_sensor_csv, text) == expected
         assert expected[0] == ["sensor_0001", "sensor_1001"]
