@@ -394,9 +394,13 @@ def cmd_baseline(args) -> int:
     table, _ = _build_table(args)
     min_support = args.min_support
     if args.rules is not None:
+        name = f"rules {args.rules}"
         with open(args.rules, "r", encoding="utf-8") as fh:
-            reference_rules = extract.rules_from_json(fh, table.features, f"rules {args.rules}")
-        min_support = baseline.coupled_support_threshold(reference_rules, table)
+            reference_rules = extract.rules_from_json(fh, table.features, name)
+        try:
+            min_support = baseline.coupled_support_threshold(reference_rules, table)
+        except ValueError as exc:  # no rules, or none that holds in a row
+            raise ValueError(f"{name}: {exc}") from None
 
     started = time.perf_counter()
     itemsets = baseline.mine_frequent(table, min_support, max_size=args.max_antecedents + 1)
@@ -479,6 +483,8 @@ def main(argv=None) -> int:
         if args.config:  # config values become the defaults that flags override
             args.options.set_defaults(**_typed(args.options, _read_json(args.config, "config")))
             args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # flag or config file
+            raise ValueError("--seed must be at least 0")
         return args.run(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

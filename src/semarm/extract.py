@@ -5,8 +5,8 @@ is pinned to probability 1 (its siblings to 0) while every other feature
 holds uniform class probabilities. If the network reconstructs every marked
 class at or above the similarity threshold, each unmarked feature whose top
 class clears the threshold becomes a consequent.
-Rule lists travel from the probe to the writers as a columnar ``RuleSet``;
-``Item`` and ``Rule`` stay the scalar model it reads as.
+Rule lists travel from the probe or a rules document to the writers as a
+columnar ``RuleSet``; ``Item`` and ``Rule`` stay the scalar model it reads as.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -68,13 +68,8 @@ class Rule:
     coverage: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not self.antecedent:
-            raise ValueError("antecedent must be non-empty")
-        features = [item.feature for item in self.antecedent]
-        if len(set(features)) != len(features):
-            raise ValueError("antecedent items must come from distinct features")
-        if self.consequent.feature in set(features):
-            raise ValueError("consequent feature may not appear in the antecedent")
+        if fault := _shape_fault([i.feature for i in self.antecedent], self.consequent.feature):
+            raise ValueError(fault)
 
     def with_metrics(self, support: float, confidence: float, zhang: float,
                      coverage: float) -> Rule:
@@ -85,6 +80,16 @@ class Rule:
     def render(self, features: list[Feature]) -> str:
         lhs = ", ".join(item.render(features) for item in sorted(self.antecedent))
         return f"{lhs} -> {self.consequent.render(features)}"
+
+
+def _shape_fault(antecedent_features: list[int], consequent_feature: int) -> str | None:
+    """Why items of these features make no rule; None if they make one."""
+    if not antecedent_features:
+        return "antecedent must be non-empty"
+    if len(set(antecedent_features)) != len(antecedent_features):
+        return "antecedent items must come from distinct features"
+    if consequent_feature in antecedent_features:
+        return "consequent feature may not appear in the antecedent"
 
 
 def _checked_rule(antecedent, consequent, support, confidence, zhang, coverage) -> Rule:
@@ -104,6 +109,7 @@ def _slot_features(layout: GroupLayout) -> np.ndarray:
 
 
 _METRICS = ("support", "confidence", "zhang", "coverage")
+_DOC_METRICS = ("confidence", "support", "zhang")  # those a rules document holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +133,12 @@ class RuleSet(Sequence):
 
     @classmethod
     def from_rules(cls, rules, layout: GroupLayout) -> RuleSet:
-        """``rules`` as a RuleSet on ``layout`` (a RuleSet is returned as it
-        is); ValueError for an item outside the layout."""
+        """``rules`` as a RuleSet on ``layout`` (a RuleSet on it is returned as
+        it is); ValueError for an item or a RuleSet outside the layout."""
         if isinstance(rules, RuleSet):
+            if rules.layout != layout:
+                raise ValueError(f"rules are on layout {rules.layout.class_counts}, "
+                                 f"not the table's {layout.class_counts}")
             return rules
         rules = list(rules)
 
@@ -139,18 +148,9 @@ class RuleSet(Sequence):
             except IndexError:
                 raise ValueError(f"rule item {item} is outside the table's layout") from None
 
-        antecedents = np.full((len(rules), max((len(r.antecedent) for r in rules), default=1)),
-                              layout.width, dtype=np.int64)
-        for row, rule in zip(antecedents, rules):
-            row[: len(rule.antecedent)] = sorted(map(slot, rule.antecedent))
-        metrics = {}
-        for key in _METRICS:
-            values = [getattr(r, key) for r in rules]
-            if any(v is not None for v in values):
-                floats = all(type(v) is float for v in values)
-                metrics[key] = np.array(values, dtype=np.float64 if floats else object)
-        return cls(antecedents, np.array([slot(r.consequent) for r in rules], dtype=np.int64),
-                   layout, **metrics)
+        return _columns([sorted(map(slot, r.antecedent)) for r in rules],
+                        [slot(r.consequent) for r in rules], layout,
+                        {key: [getattr(r, key) for r in rules] for key in _METRICS})
 
     def __len__(self) -> int:
         return len(self.consequents)
@@ -185,6 +185,20 @@ class RuleSet(Sequence):
         _, first, which = np.unique(_row_keys(self.antecedents), return_index=True,
                                     return_inverse=True)
         return self.antecedents[first], which
+
+
+def _columns(antecedents: list[list[int]], consequents: list[int], layout: GroupLayout,
+             metrics: dict[str, list]) -> RuleSet:
+    """A RuleSet of each rule's ascending antecedent slots, consequent slot and
+    metric values. A metric column is float64 if every value is a float, else
+    the values as they are; it is left out if every value is None."""
+    lengths = np.fromiter(map(len, antecedents), np.int64, len(antecedents))
+    rows = np.full((len(antecedents), lengths.max(initial=1)), layout.width, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = list(chain.from_iterable(antecedents))
+    columns = {key: np.fromiter(values, np.float64 if all(type(v) is float for v in values)
+                                else object, len(values))
+               for key, values in metrics.items() if any(v is not None for v in values)}
+    return RuleSet(rows, np.array(consequents, dtype=np.int64), layout, **columns)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -326,26 +340,11 @@ def rule_to_doc(rule: Rule, features: list[Feature]) -> dict:
             "class": features[rule.consequent.feature].class_values[rule.consequent.class_index],
         },
     }
-    for key in ("support", "confidence", "zhang"):
+    for key in _DOC_METRICS:
         value = getattr(rule, key)
         if value is not None:
             doc[key] = value
     return doc
-
-
-def _feature_lookup(features: list[Feature]) -> dict[str, tuple[int, dict[str, int]]]:
-    return {
-        f.name: (i, {c: j for j, c in enumerate(f.class_values)})
-        for i, f in enumerate(features)
-    }
-
-
-def _item_from_doc(doc: dict, by_name: dict[str, tuple[int, dict[str, int]]]) -> Item:
-    try:
-        feature_idx, class_lookup = by_name[doc["feature"]]
-        return Item(feature_idx, class_lookup[doc["class"]])
-    except (KeyError, TypeError) as exc:  # TypeError: an unhashable name
-        raise ValueError(f"unknown feature or class in rule document: {exc}") from exc
 
 
 def _json_scalar(value) -> str:
@@ -429,39 +428,41 @@ def rules_array_json(rules: RuleSet, features: list[Feature], keys, depth: int =
     return "".join(flat)
 
 
-def rules_to_json(rules, features: list[Feature]) -> str:
-    """Serialize rules (a RuleSet or a list of ``Rule``) as a JSON array;
-    deterministic for identical inputs.
+def rules_to_json(rules: RuleSet, features: list[Feature]) -> str:
+    """Serialize a RuleSet as a JSON array; deterministic for identical inputs.
 
     The bytes are those of ``json.dumps([rule_to_doc(r, features) for r in
     rules], indent=2, sort_keys=True)``.
     """
-    rules = RuleSet.from_rules(rules, GroupLayout.of(features))
-    return rules_array_json(rules, features, ("confidence", "support", "zhang"))
+    return rules_array_json(rules, features, _DOC_METRICS)
 
 
 _ITEMS = jsondoc.array_of(jsondoc.OBJECT, "an array of objects")
 
 
-def rules_from_json(source, features: list[Feature], name: str = "rules document") -> list[Rule]:
-    """Rules from a rules document (text or a stream); metrics are taken as they are.
-    Every error names the document and the rule, as ``<name>: rule <i>``."""
+def rules_from_json(source, features: list[Feature], name: str = "rules document") -> RuleSet:
+    """The rules of a rules document (text or a stream) as a RuleSet on the
+    layout of ``features``; metrics are taken as they are, and an item given
+    twice counts once. Every error names the document and the rule, as
+    ``<name>: rule <i>``, and the first failing rule is the one named."""
     docs = jsondoc.checked(jsondoc.load(source, name), jsondoc.ARRAY, name)
-    by_name = _feature_lookup(features)
-    rules = []
+    layout = GroupLayout.of(features)
+    by_name = {f.name: {c: (i, layout.offsets[i] + j) for j, c in enumerate(f.class_values)}
+               for i, f in enumerate(features)}
+    antecedents, consequents = [], []
     for i, doc in enumerate(docs):
         part = f"{name}: rule {i}"
         jsondoc.checked(doc, jsondoc.OBJECT, part)
         jsondoc.entry(doc, "antecedent", _ITEMS, part)
         jsondoc.entry(doc, "consequent", jsondoc.OBJECT, part)
         try:
-            rules.append(Rule(
-                frozenset(_item_from_doc(d, by_name) for d in doc["antecedent"]),
-                _item_from_doc(doc["consequent"], by_name),
-                support=doc.get("support"),
-                confidence=doc.get("confidence"),
-                zhang=doc.get("zhang"),
-            ))
-        except ValueError as exc:  # an unknown item, or items that make no rule
-            raise ValueError(f"{part}: {exc}") from None
-    return rules
+            items = {by_name[d["feature"]][d["class"]] for d in doc["antecedent"]}
+            feature, slot = by_name[doc["consequent"]["feature"]][doc["consequent"]["class"]]
+        except (KeyError, TypeError) as exc:  # TypeError: an unhashable name
+            raise ValueError(f"{part}: unknown feature or class in rule document: {exc}") from None
+        if fault := _shape_fault([f for f, _ in items], feature):
+            raise ValueError(f"{part}: {fault}")
+        antecedents.append(sorted(s for _, s in items))
+        consequents.append(slot)
+    return _columns(antecedents, consequents, layout,
+                    {key: [doc.get(key) for doc in docs] for key in _DOC_METRICS})

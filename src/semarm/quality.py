@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .extract import Rule, RuleSet, rule_to_doc, rules_array_json
-from .transact import Feature, GroupLayout, TransactionTable
+from .transact import Feature, TransactionTable
 
 __all__ = [
     "RuleQualityReport",
@@ -85,10 +85,10 @@ def zhang(rule: Rule, table: TransactionTable) -> float:
 
 @dataclass
 class RuleQualityReport:
-    """The measured rules, each carrying its four metrics, plus set-level
-    aggregates for one rule list."""
+    """The measured rules, a RuleSet carrying support, confidence, zhang and
+    coverage columns, plus set-level aggregates for the same rules."""
 
-    per_rule: RuleSet | list[Rule]
+    per_rule: RuleSet
     rule_count: int
     mean_support: float
     mean_confidence: float
@@ -196,7 +196,7 @@ def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
     )
 
 
-def annotate_rules(rules, table: TransactionTable) -> list[Rule]:
+def annotate_rules(rules, table: TransactionTable) -> RuleSet:
     """Copies of the rules with their measured metrics attached."""
     return evaluate(rules, table).per_rule
 
@@ -230,8 +230,7 @@ def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) 
     parts = []
     for key, value in sorted(doc.items()):
         if value is rules:
-            per_rule = RuleSet.from_rules(report.per_rule, GroupLayout.of(features))
-            text = rules_array_json(per_rule, features, _REPORT_METRICS, depth=1)
+            text = rules_array_json(report.per_rule, features, _REPORT_METRICS, depth=1)
         else:
             text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
         parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", text]

@@ -9,6 +9,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from semarm import jsondoc
 from semarm.baseline import FrequentItemset
 from semarm.extract import Item, Rule, equal_prob_vector
 from semarm.quality import _popcount, _slot_bits, rule_metrics
@@ -140,3 +141,38 @@ def oracle_rules_from_itemsets(itemsets, table, min_confidence, max_antecedents)
         for rule, sup, conf, cov, zh in zip(candidates, *metrics)
         if conf >= min_confidence
     ]
+
+
+def oracle_rules_from_json(source, features, name="rules document"):
+    """The rules document read one checked ``Item`` and ``Rule`` at a time."""
+    docs = jsondoc.checked(jsondoc.load(source, name), jsondoc.ARRAY, name)
+    by_name = {
+        f.name: (i, {c: j for j, c in enumerate(f.class_values)})
+        for i, f in enumerate(features)
+    }
+
+    def item(doc):
+        try:
+            feature_idx, class_lookup = by_name[doc["feature"]]
+            return Item(feature_idx, class_lookup[doc["class"]])
+        except (KeyError, TypeError) as exc:  # TypeError: an unhashable name
+            raise ValueError(f"unknown feature or class in rule document: {exc}") from exc
+
+    rules = []
+    for i, doc in enumerate(docs):
+        part = f"{name}: rule {i}"
+        jsondoc.checked(doc, jsondoc.OBJECT, part)
+        jsondoc.entry(doc, "antecedent", jsondoc.array_of(jsondoc.OBJECT, "an array of objects"),
+                      part)
+        jsondoc.entry(doc, "consequent", jsondoc.OBJECT, part)
+        try:
+            rules.append(Rule(
+                frozenset(item(d) for d in doc["antecedent"]),
+                item(doc["consequent"]),
+                support=doc.get("support"),
+                confidence=doc.get("confidence"),
+                zhang=doc.get("zhang"),
+            ))
+        except ValueError as exc:  # an unknown item, or items that make no rule
+            raise ValueError(f"{part}: {exc}") from None
+    return rules

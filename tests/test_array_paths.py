@@ -221,6 +221,7 @@ class TestNumberMemo:
     def test_values_equal_under_eq_are_rendered_apart(self):
         rules = memo_rules()
         docs = [rule_to_doc(r, MEMO_FEATURES) for r in rules]
+        rules = RuleSet.from_rules(rules, GroupLayout.of(MEMO_FEATURES))
         assert rules_to_json(rules, MEMO_FEATURES) == json.dumps(docs, indent=2, sort_keys=True)
         report = RuleQualityReport(rules, len(rules), 0.0, -0.0, 1, True, 2**53 + 1)
         expected = json.dumps(report_to_doc(report, MEMO_FEATURES), indent=2, sort_keys=True)

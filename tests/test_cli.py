@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import shlex
 from dataclasses import asdict
 from pathlib import Path
@@ -131,6 +132,22 @@ def test_sample_sensors_below_one_is_named_data_error(small_csv, tmp_path, capsy
     assert run(command, "--sensors", small_csv, "--out", tmp_path, "--sample-sensors", count,
                *extra) == 3
     assert "--sample-sensors must be at least 1" in single_data_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", -1],
+    ["train", "--epochs", 1, "--seed", -1],
+    ["baseline", "--min-support", 0.5, "--sample-sensors", 2, "--seed", -5],
+    ["baseline", "--min-support", 0.5, "--seed", -1],
+    ["train", "--epochs", 1, "--config", "config.json"],
+], ids=["synth", "train", "baseline-sample", "baseline", "config"])
+def test_negative_seed_is_named_data_error(small_csv, tmp_path, capsys, argv):
+    (tmp_path / "config.json").write_text(json.dumps({"seed": -1}))
+    command, *rest = [tmp_path / a if a == "config.json" else a for a in argv]
+    inputs = [] if command == "synth" else ["--sensors", small_csv]
+    assert run(command, *inputs, "--out", tmp_path / "run", *rest) == 3
+    assert "--seed must be at least 0" in single_data_error(capsys)
+    assert not (tmp_path / "run").exists()
 
 
 class TestMalformedCsv:
@@ -551,7 +568,9 @@ class TestBaseline:
         code = run("baseline", "--sensors", dataset / "sensors.csv",
                    "--out", tmp_path, "--rules", empty)
         assert code == 3
-        assert "empty" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "empty" in err
+        assert f"error: data: rules {empty}: cannot couple" in err
 
     def test_coupled_with_rules_that_never_hold_is_data_error(self, tmp_path, capsys):
         # a reads x0/x1 and b reads y0/y1 in step, so a=x0 -> b=y1 holds in no window
@@ -567,10 +586,72 @@ class TestBaseline:
         err = single_data_error(capsys)
         assert "rules that hold in no row of the table (mean support 0)" in err
         assert "min_support" not in err
+        assert err.startswith(f"error: data: rules {rules}: cannot couple")
 
     def test_missing_support_flag_is_usage_error(self, dataset, tmp_path):
         assert run("baseline", "--sensors", dataset / "sensors.csv",
                    "--out", tmp_path) == 2
+
+
+NOISY_PLANTED = json.dumps(
+    [
+        {"antecedent": [[0, 0]], "consequent": [1, 1], "confidence": 0.9},
+        {"antecedent": [[0, 1]], "consequent": [1, 2], "confidence": 1.0},
+    ]
+)
+
+
+def _rule_documents(text: str) -> list[str]:
+    """The text of each document in a rules file, from its ``{`` line to its ``}`` line."""
+    documents = re.findall(r"^  \{\n.*?^  \}", text, re.M | re.S)
+    assert len(documents) == len(json.loads(text))
+    return documents
+
+
+class TestBaselineRelations:
+    @pytest.fixture
+    def noisy(self, tmp_path):
+        data = tmp_path / "data"
+        assert run("synth", "--out", data, "--rows", 200, "--features", 4, "--classes", 3,
+                   "--seed", 3, "--noise-rate", 0.1, "--planted", NOISY_PLANTED) == 0
+        return data
+
+    def test_coupled_run_equals_a_run_at_its_threshold(self, noisy, tmp_path):
+        """``--rules R`` writes what ``--min-support`` at the threshold its
+        report holds writes, apart from the timings."""
+        ingest = ["--sensors", noisy / "sensors.csv", "--graph", noisy / "graph.json",
+                  "--enrich", "--depth", 1]
+        reference, coupled, direct = tmp_path / "reference", tmp_path / "coupled", tmp_path / "direct"
+        assert run("baseline", *ingest, "--out", reference, "--min-support", 0.3) == 0
+        assert run("baseline", *ingest, "--out", coupled,
+                   "--rules", reference / "baseline_rules.json") == 0
+        min_support = json.loads((coupled / "baseline_report.json").read_text())["min_support"]
+        assert 0 < min_support < 0.3
+        assert run("baseline", *ingest, "--out", direct, "--min-support", repr(min_support)) == 0
+
+        def untimed(path):
+            return re.sub(r'"mine_seconds": [^\n]*', "", (path / "baseline_report.json").read_text())
+
+        assert untimed(coupled) == untimed(direct)
+        for name in ("baseline_rules.json", "baseline_report.txt"):
+            assert (coupled / name).read_bytes() == (direct / name).read_bytes()
+        assert _rule_documents((coupled / "baseline_rules.json").read_text())
+
+    @pytest.mark.parametrize("raised", [(0.1, 0.3), (0.02, 0.6), (0.1, 0.6)],
+                             ids=["support", "confidence", "both"])
+    def test_raising_a_threshold_keeps_a_subsequence_of_the_rules(self, noisy, tmp_path, raised):
+        """Each rule document of the stricter run is in the looser run's file,
+        byte for byte and in the same order, and some are gone."""
+        files = []
+        for min_support, min_confidence in ((0.02, 0.3), raised):
+            out = tmp_path / f"{min_support}-{min_confidence}"
+            assert run("baseline", "--sensors", noisy / "sensors.csv", "--out", out,
+                       "--min-support", min_support, "--min-confidence", min_confidence) == 0
+            files.append(_rule_documents((out / "baseline_rules.json").read_text()))
+        loose, strict = files
+        assert 0 < len(strict) < len(loose)
+        remaining = iter(loose)
+        assert all(doc in remaining for doc in strict)
 
 
 class TestOutputBytes:

@@ -5,12 +5,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semarm.autonet import TrainingConfig, train
 from semarm.extract import (
     ExtractionConfig,
     Item,
     Rule,
+    RuleSet,
     count_test_vectors,
     equal_prob_vector,
     extract_rules,
@@ -22,7 +24,8 @@ from semarm.extract import (
 from semarm.synth import PlantedRule, SyntheticSpec, spec_to_table
 from semarm.transact import Feature, GroupLayout, one_hot_encode
 
-from conftest import rule_lists
+from conftest import JSON_NUMBERS, JSON_TEXT, rule_lists
+from oracles import oracle_rules_from_json
 
 
 class StubNet:
@@ -286,7 +289,8 @@ class TestRuleModel:
             Rule(frozenset({Item(0, 0)}), Item(1, 2), support=0.25, confidence=1.0, zhang=1.0),
             Rule(frozenset({Item(1, 1)}), Item(0, 1)),
         ]
-        text = rules_to_json(rules, features)
+        rule_set = RuleSet.from_rules(rules, GroupLayout.of(features))
+        text = rules_to_json(rule_set, features)
         parsed = rules_from_json(text, features)
         assert parsed == rules
         assert parsed[0].support == 0.25
@@ -337,14 +341,117 @@ class TestRulesJsonWriter:
     def test_bytes_equal_json_dumps_of_the_documents(self, drawn):
         features, rules = drawn
         expected = json.dumps([rule_to_doc(r, features) for r in rules], indent=2, sort_keys=True)
-        assert rules_to_json(rules, features) == expected
+        rule_set = RuleSet.from_rules(rules, GroupLayout.of(features))
+        assert rules_to_json(rule_set, features) == expected
 
     @given(rule_lists())
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, drawn):
         features, rules = drawn
-        parsed = rules_from_json(rules_to_json(rules, features), features)
+        rule_set = RuleSet.from_rules(rules, GroupLayout.of(features))
+        parsed = rules_from_json(rules_to_json(rule_set, features), features)
+        assert isinstance(parsed, RuleSet)
+        assert parsed.antecedents.tolist() == rule_set.antecedents.tolist()
+        assert parsed.consequents.tolist() == rule_set.consequents.tolist()
         assert parsed == rules
         for got, rule in zip(parsed, rules):
             for key in ("support", "confidence", "zhang"):
                 assert json.dumps(getattr(got, key)) == json.dumps(getattr(rule, key))
+
+
+FAULTS = ("unknown-feature", "unknown-class", "unhashable-name", "missing-item-key",
+          "missing-rule-key", "wrong-kind", "empty-antecedent", "repeated-feature",
+          "repeated-item", "consequent-in-antecedent", "shuffled-items", "odd-metric")
+ODD_VALUES = st.sampled_from([None, "x", True, 1, [1], ["x"], {"a": 1}])
+
+
+@st.composite
+def rule_documents(draw):
+    """(features, text): a rules document of drawn rules in which each
+    document may carry one drawn fault or reshaping."""
+    features, rules = draw(rule_lists())
+    names = [f.name for f in features]
+
+    def item_doc(feature):
+        values = features[feature].class_values
+        return {"feature": names[feature], "class": draw(st.sampled_from(values))}
+
+    docs = []
+    for rule in rules:
+        doc = rule_to_doc(rule, features)
+        items = doc["antecedent"]
+        target = draw(st.sampled_from([*items, doc["consequent"]]))
+        fault = draw(st.none() | st.sampled_from(FAULTS))
+        if fault == "unknown-feature":
+            target["feature"] = draw(JSON_TEXT.filter(lambda name: name not in names))
+        elif fault == "unknown-class":
+            target["class"] = draw(JSON_TEXT)
+        elif fault == "unhashable-name":
+            target[draw(st.sampled_from(["feature", "class"]))] = draw(st.sampled_from([["x"], {}]))
+        elif fault == "missing-item-key":
+            del target[draw(st.sampled_from(["feature", "class"]))]
+        elif fault == "missing-rule-key":
+            del doc[draw(st.sampled_from(["antecedent", "consequent"]))]
+        elif fault == "wrong-kind":
+            where = draw(st.sampled_from(["rule", "antecedent", "item", "consequent"]))
+            if where == "rule":
+                doc = draw(ODD_VALUES)
+            elif where == "item":
+                items[0] = draw(ODD_VALUES)
+            else:
+                doc[where] = draw(ODD_VALUES)
+        elif fault == "empty-antecedent":
+            doc["antecedent"] = []
+        elif fault == "repeated-feature":
+            items.append(item_doc(draw(st.sampled_from(sorted(rule.antecedent))).feature))
+        elif fault == "repeated-item":
+            items.append(dict(draw(st.sampled_from(items))))
+        elif fault == "consequent-in-antecedent":
+            items.append(item_doc(rule.consequent.feature))
+        elif fault == "shuffled-items":
+            doc["antecedent"] = draw(st.permutations(items))
+        elif fault == "odd-metric":
+            doc[draw(st.sampled_from(["support", "confidence", "zhang"]))] = draw(
+                ODD_VALUES | JSON_NUMBERS)
+        docs.append(doc)
+    return features, json.dumps(docs)
+
+
+TWO_FEATURES = [Feature("s1", "categorical", ["a", "b"]), Feature("s2", "categorical", ["c"])]
+S1_A, S1_B, S2_C = ({"feature": f, "class": c} for f, c in (("s1", "a"), ("s1", "b"), ("s2", "c")))
+
+
+class TestRulesFromJsonMatchesOracle:
+    @given(rule_documents())
+    @example((TWO_FEATURES, '{"rules": []}'))
+    @example((TWO_FEATURES, "[\n"))
+    @example((TWO_FEATURES, json.dumps([{"antecedent": [S1_A, S1_A], "consequent": S2_C}])))
+    @example((TWO_FEATURES, json.dumps([{"antecedent": [S1_A, S1_B], "consequent": S2_C},
+                                        {"antecedent": [{"feature": "x", "class": "a"}],
+                                         "consequent": S2_C}])))
+    @example((TWO_FEATURES, json.dumps([{"antecedent": [S1_A], "consequent": S2_C},
+                                        {"antecedent": [S2_C, {"feature": "x"}],
+                                         "consequent": S1_A}])))
+    @example((TWO_FEATURES, json.dumps([{"antecedent": [{"feature": "x", "class": "a"}],
+                                         "consequent": {"feature": "y", "class": "c"}}])))
+    @settings(max_examples=100, deadline=None)
+    def test_same_rules_or_same_message(self, drawn):
+        """The columnar reader gives the oracle's rules in order, with the same
+        metric values, or fails with the oracle's message."""
+        features, text = drawn
+        try:
+            expected = oracle_rules_from_json(text, features, "rules f.json")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                rules_from_json(text, features, "rules f.json")
+            assert str(raised.value) == str(exc)
+            return
+        got = rules_from_json(text, features, "rules f.json")
+        assert isinstance(got, RuleSet)
+        assert list(got) == expected
+        for rule, reference in zip(got, expected):
+            for key in ("support", "confidence", "zhang"):
+                assert json.dumps(getattr(rule, key)) == json.dumps(getattr(reference, key))
+        columns = RuleSet.from_rules(expected, GroupLayout.of(features))
+        assert got.antecedents.tolist() == columns.antecedents.tolist()
+        assert got.consequents.tolist() == columns.consequents.tolist()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semarm.extract import Item, Rule
+from semarm.extract import Item, Rule, RuleSet, rules_from_json
 from semarm.quality import (
     REPORT_SCHEMA,
     RuleQualityReport,
@@ -22,7 +22,7 @@ from semarm.quality import (
     support,
     zhang,
 )
-from semarm.transact import Feature, TransactionTable
+from semarm.transact import Feature, GroupLayout, TransactionTable
 
 from conftest import JSON_NUMBERS, JSON_TEXT, make_random_table, rule_lists
 
@@ -407,6 +407,16 @@ class TestKernelGuards:
                 with pytest.raises(ValueError, match=named):
                     measure(rule, table)
 
+    def test_rule_set_on_another_layout_is_named(self):
+        table = two_feature_table(4)
+        wider = [Feature("f0", "categorical", ["v0", "v1", "v2"]), *table.features[1:]]
+        doc = [{"antecedent": [{"feature": "f0", "class": "v2"}],
+                "consequent": {"feature": "f1", "class": "v0"}}]
+        rules = rules_from_json(json.dumps(doc), wider)
+        for measure in (evaluate, data_coverage, rule_counts):
+            with pytest.raises(ValueError, match=r"layout \(3, 1\), not the table's \(2, 1\)"):
+                measure(rules, table)
+
     def test_rules_on_a_table_with_no_rows_are_rejected(self):
         table = two_feature_table(0)
         with warnings.catch_warnings():
@@ -434,6 +444,7 @@ def reports(draw):
     metrics, and extra top-level keys like the CLI's."""
     features, rules = draw(rule_lists())
     per_rule = [rule.with_metrics(*(draw(JSON_NUMBERS) for _ in range(4))) for rule in rules]
+    per_rule = RuleSet.from_rules(per_rule, GroupLayout.of(features))
     report = RuleQualityReport(per_rule, len(per_rule), *(draw(JSON_NUMBERS) for _ in range(5)))
     extra = draw(st.fixed_dictionaries({}, optional={
         "min_support": JSON_NUMBERS,
