@@ -22,9 +22,7 @@ __all__ = [
     "TrainingConfig",
     "NetworkShape",
     "TrainedAutoencoder",
-    "initialize_network",
     "bce_loss",
-    "loss_gradients",
     "train",
     "model_to_doc",
     "model_from_doc",
@@ -212,17 +210,6 @@ def _loss_and_grads(weights, biases, layout, noisy, clean):
     return loss, grads_w, grads_b
 
 
-def loss_gradients(net: TrainedAutoencoder, inputs, targets):
-    """Analytic gradients of bce_loss(forward(inputs), targets) with respect
-    to every weight and bias tensor. Returns (loss, grad_weights, grad_biases).
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if inputs.shape != targets.shape or inputs.shape[1] != net.shape.input_dim:
-        raise ValueError("inputs/targets must both be (n, input_dim)")
-    return _loss_and_grads(net.weights, net.biases, net.shape.group_layout, inputs, targets)
-
-
 def _initial_parameters(shape: NetworkShape, rng: np.random.Generator):
     """uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights and zero biases."""
     dims = shape.layer_dims
@@ -232,17 +219,6 @@ def _initial_parameters(shape: NetworkShape, rng: np.random.Generator):
         weights.append(rng.uniform(-bound, bound, size=(dims[i], dims[i + 1])))
         biases.append(np.zeros(dims[i + 1]))
     return weights, biases
-
-
-def initialize_network(
-    shape: NetworkShape,
-    seed: int,
-    config: TrainingConfig | None = None,
-) -> TrainedAutoencoder:
-    """Untrained network, initialised from a generator seeded with ``seed``."""
-    weights, biases = _initial_parameters(shape, np.random.default_rng(seed))
-    cfg = config if config is not None else TrainingConfig(rng_seed=seed)
-    return TrainedAutoencoder(shape, weights, biases, cfg, seed)
 
 
 def train(

@@ -2,8 +2,8 @@
 
 The level-wise miner returns exactly the itemsets meeting a support
 threshold (one item per feature, as transactions assign each feature one
-class), and rules are derived with exact integer-count metrics. A naive
-enumeration twin serves as an independent correctness oracle.
+class), and rules are derived with exact integer-count metrics; the
+brute-force enumeration they are tested against is in ``tests/oracles.py``.
 
 Each level of itemsets is a lexicographically sorted matrix of one-hot slots
 with its row counts. Candidates are joined by shared prefix, pruned by
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
-from .extract import Item, Rule, RuleSet, _row_keys, _slot_features, _slot_items
+from .extract import Item, RuleSet, _row_keys, _slot_features, _slot_items
 from .quality import _CHUNK, _popcount, _slot_bits, evaluate, rule_metrics
 from .transact import GroupLayout, TransactionTable
 
@@ -29,11 +28,8 @@ __all__ = [
     "FrequentItemsets",
     "mine_frequent",
     "rules_from_itemsets",
-    "brute_force_implications",
     "coupled_support_threshold",
 ]
-
-BRUTE_FORCE_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -165,65 +161,6 @@ def rules_from_itemsets(
     support, confidence, coverage, zhang = rule_metrics(n_x, n_xy, n_y, table.n_rows)
     rules = RuleSet(antecedents, consequents, layout, support, confidence, zhang, coverage)
     return rules[confidence >= min_confidence]
-
-
-def _enumeration_size(table: TransactionTable, max_antecedents: int) -> int:
-    counts = [len(f.class_values) for f in table.features]
-    total = 0
-    for size in range(1, min(max_antecedents, len(counts)) + 1):
-        for subset in combinations(range(len(counts)), size):
-            antecedents = 1
-            for f in subset:
-                antecedents *= counts[f]
-            consequents = sum(c for i, c in enumerate(counts) if i not in subset)
-            total += antecedents * consequents
-    return total
-
-
-def brute_force_implications(
-    table: TransactionTable,
-    min_confidence: float,
-    max_antecedents: int,
-) -> list[Rule]:
-    """Ground-truth enumeration of every rule meeting the confidence bound.
-
-    Checks all (antecedent set, consequent item) combinations by direct row
-    counting, independent of the level-wise miner and the bitset counting
-    kernel; only the metric formula, ``quality.rule_metrics``, is shared.
-    Guarded: the enumeration must stay within 10^7 combinations.
-    """
-    size = _enumeration_size(table, max_antecedents)
-    if size > BRUTE_FORCE_GUARD:
-        raise ValueError(f"enumeration of {size} combinations exceeds the guard")
-    n = table.n_rows
-    if n == 0:
-        return []
-    counts = [len(f.class_values) for f in table.features]
-    rules, counted = [], []
-    for a_size in range(1, min(max_antecedents, len(counts)) + 1):
-        for subset in combinations(range(len(counts)), a_size):
-            outside = [f for f in range(len(counts)) if f not in subset]
-            for classes in product(*(range(counts[f]) for f in subset)):
-                x_mask = np.ones(n, dtype=bool)
-                for feat, cls in zip(subset, classes):
-                    x_mask &= table.rows[:, feat] == cls
-                n_x = int(x_mask.sum())
-                if n_x == 0:
-                    continue
-                antecedent = frozenset(Item(f, c) for f, c in zip(subset, classes))
-                for feat in outside:
-                    for cls in range(counts[feat]):
-                        y_mask = table.rows[:, feat] == cls
-                        n_xy = int((x_mask & y_mask).sum())
-                        if n_xy / n_x >= min_confidence:
-                            rules.append(Rule(antecedent, Item(feat, cls)))
-                            counted.append((n_x, n_xy, int(y_mask.sum())))
-    n_xs, n_xys, n_ys = np.array(counted, dtype=np.int64).reshape(-1, 3).T
-    metrics = (values.tolist() for values in rule_metrics(n_xs, n_xys, n_ys, n))
-    return [
-        rule.with_metrics(sup, conf, zh, cov)
-        for rule, sup, conf, cov, zh in zip(rules, *metrics)
-    ]
 
 
 def coupled_support_threshold(reference_rules, table: TransactionTable) -> float:

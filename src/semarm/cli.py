@@ -244,6 +244,10 @@ def _build_table(args, keep_sensors=None):
     digests = [None if part is None else hashlib.sha256(part).hexdigest()
                for part in (data, graph_data)]
     key = hashlib.sha256(json.dumps([_TABLE_FORMAT, options, digests]).encode()).hexdigest()
+    if args.intervals < 1:
+        raise ValueError("--intervals must be at least 1")
+    if args.depth < 0:
+        raise ValueError("--depth must be at least 0")
     if keep_sensors is None and args.sample_sensors is not None:
         if args.sample_sensors < 1:
             raise ValueError("--sample-sensors must be at least 1")

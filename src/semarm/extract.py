@@ -29,8 +29,6 @@ __all__ = [
     "RuleSet",
     "ExtractionConfig",
     "equal_prob_vector",
-    "generate_test_vectors",
-    "count_test_vectors",
     "extract_rules",
     "rule_to_doc",
     "rules_array_json",
@@ -70,12 +68,6 @@ class Rule:
     def __post_init__(self):
         if fault := _shape_fault([i.feature for i in self.antecedent], self.consequent.feature):
             raise ValueError(fault)
-
-    def with_metrics(self, support: float, confidence: float, zhang: float,
-                     coverage: float) -> Rule:
-        """Copy of this rule carrying measured metrics. It skips the checks
-        of ``__post_init__``: its items are this rule's, already checked."""
-        return _checked_rule(self.antecedent, self.consequent, support, confidence, zhang, coverage)
 
     def render(self, features: list[Feature]) -> str:
         lhs = ", ".join(item.render(features) for item in sorted(self.antecedent))
@@ -233,23 +225,6 @@ def equal_prob_vector(layout: GroupLayout) -> np.ndarray:
     return np.repeat(1.0 / counts, layout.class_counts)
 
 
-def generate_test_vectors(
-    layout: GroupLayout, feature_subset
-) -> list[tuple[np.ndarray, tuple[Item, ...]]]:
-    """All marked vectors for one feature subset.
-
-    One vector per element of the Cartesian product of the subset's class
-    values: the chosen class slot is 1.0, sibling slots of the same feature
-    0.0, and every other feature keeps equal probabilities.
-    """
-    subset = tuple(feature_subset)
-    if not 1 <= len(set(subset)) == len(subset):
-        raise ValueError("feature subset must be non-empty and duplicate-free")
-    vectors, marked = _marked_vectors(layout, [subset])
-    items = _slot_items(layout)
-    return [(vec, tuple(items[s] for s in row)) for vec, row in zip(vectors, marked.tolist())]
-
-
 def _marked_vectors(layout: GroupLayout, subsets) -> tuple[np.ndarray, np.ndarray]:
     """(vectors, marked): the marked vectors of equal-sized feature subsets
     as matrix rows, by subset and then class combination, and each row's
@@ -264,25 +239,6 @@ def _marked_vectors(layout: GroupLayout, subsets) -> tuple[np.ndarray, np.ndarra
     vectors = np.where(in_marked_group, 0.0, equal_prob_vector(layout))
     vectors[np.arange(len(marked))[:, None], marked] = 1.0
     return vectors, marked
-
-
-def count_test_vectors(layout: GroupLayout, max_antecedents: int) -> int:
-    """Number of marked vectors over all feature subsets of size up to
-    ``max_antecedents``: the sum over subsets of the product of class counts.
-
-    extract_rules probes exactly this many rows through the network when no
-    feature constraint is set. Computed via elementary symmetric polynomials,
-    so large feature counts stay cheap.
-    """
-    if max_antecedents < 1:
-        raise ValueError("max_antecedents must be >= 1")
-    cap = min(max_antecedents, layout.n_features)
-    # coeffs[k] accumulates the sum over k-subsets of products of class counts
-    coeffs = [1] + [0] * cap
-    for count in layout.class_counts:
-        for k in range(min(cap, len(coeffs) - 1), 0, -1):
-            coeffs[k] += coeffs[k - 1] * count
-    return sum(coeffs[1:])
 
 
 def extract_rules(net, config: ExtractionConfig) -> RuleSet:

@@ -6,10 +6,10 @@ independent row-scan recomputations agree bit-for-bit. ``rule_counts`` counts
 a whole ``RuleSet`` in one pass over per-item row bitsets (the vertical layout
 of ECLAT), one bitset per distinct antecedent row, and ``rule_metrics`` is the
 one place the metrics are computed from counts. ``evaluate`` is the one
-counting pass a command makes over its rules. The scalar functions (``support``
-... ``zhang``, ``data_coverage``) are views over that kernel for one rule or
-rule list; the row-scan references they are checked against are the
-``oracle_*`` functions in ``tests/test_quality.py`` and ``tests/oracles.py``.
+counting pass a command makes over its rules. The scalar functions (``support``,
+``confidence``, ``zhang``, ``data_coverage``) are views over that kernel for one
+rule or rule list; their row-scan references are the ``oracle_*`` functions in
+``tests/test_quality.py`` and ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "RuleQualityReport",
     "support",
     "confidence",
-    "rule_coverage",
     "data_coverage",
     "zhang",
     "rule_counts",
@@ -59,11 +58,6 @@ def confidence(rule: Rule, table: TransactionTable) -> float:
     """Fraction of antecedent transactions also containing the consequent;
     0 when the antecedent never occurs."""
     return _metrics(rule, table)[1]
-
-
-def rule_coverage(rule: Rule, table: TransactionTable) -> float:
-    """Fraction of transactions containing the antecedent."""
-    return _metrics(rule, table)[2]
 
 
 def data_coverage(rules, table: TransactionTable) -> float:

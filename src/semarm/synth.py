@@ -13,14 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Binding, Ontology, PropertyGraph, dump_graph
-from .transact import Feature, TransactionTable
 
 __all__ = [
     "PlantedRule",
     "SyntheticSpec",
     "UnsatisfiableSpecError",
     "generate_classes",
-    "spec_to_table",
     "build_dataset",
     "write_dataset",
 ]
@@ -192,15 +190,6 @@ def generate_classes(spec: SyntheticSpec) -> np.ndarray:
 
 def _sensor_name(index: int) -> str:
     return f"s{index:02d}"
-
-
-def spec_to_table(spec: SyntheticSpec) -> TransactionTable:
-    """The generated transactions as a table, bypassing the CSV round trip."""
-    labels = [f"c{j}" for j in range(spec.classes_per_feature)]
-    features = [
-        Feature(_sensor_name(i), "categorical", list(labels)) for i in range(spec.features)
-    ]
-    return TransactionTable(features, generate_classes(spec))
 
 
 def _build_graph(spec: SyntheticSpec) -> tuple[PropertyGraph, Ontology, Binding]:

@@ -448,10 +448,6 @@ class GroupLayout:
             raise IndexError(f"class {class_index} out of range for feature {feature}")
         return self.offsets[feature] + class_index
 
-    def group_slice(self, feature: int) -> slice:
-        start = self.offsets[feature]
-        return slice(start, start + self.class_counts[feature])
-
 
 @dataclass
 class Feature:

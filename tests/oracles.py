@@ -1,18 +1,158 @@
-"""Object-path references for the array paths of ``semarm``.
+"""Test-only references for ``semarm``.
+
+The functions before the ``oracle_*`` ones are entry points that no command
+runs, so they live here rather than in ``src/``; tests use them as references
+or fixtures: a layout's slice of one feature, the brute-force rule
+enumeration, marked-vector generation and counting, one rule's coverage,
+analytic gradients, untrained networks, and a synthetic spec as a table.
 
 Each ``oracle_*`` is the rule-at-a-time implementation that a columnar path
 in ``src/`` replaced, kept here only so property tests can hold the array
 path to it: same rules, same order, same metric bits.
 """
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 
 from semarm import jsondoc
+from semarm.autonet import TrainedAutoencoder, TrainingConfig, _initial_parameters, _loss_and_grads
 from semarm.baseline import FrequentItemset
-from semarm.extract import Item, Rule, equal_prob_vector
-from semarm.quality import _popcount, _slot_bits, rule_metrics
+from semarm.extract import Item, Rule, _marked_vectors, _slot_items, equal_prob_vector
+from semarm.quality import _popcount, _slot_bits, rule_counts, rule_metrics
+from semarm.synth import _sensor_name, generate_classes
+from semarm.transact import Feature, TransactionTable
+
+BRUTE_FORCE_GUARD = 10_000_000
+
+
+def group_slice(layout, feature):
+    """The slots of ``feature``'s class group in ``layout``."""
+    start = layout.offsets[feature]
+    return slice(start, start + layout.class_counts[feature])
+
+
+def _enumeration_size(table, max_antecedents):
+    counts = [len(f.class_values) for f in table.features]
+    total = 0
+    for size in range(1, min(max_antecedents, len(counts)) + 1):
+        for subset in combinations(range(len(counts)), size):
+            antecedents = 1
+            for f in subset:
+                antecedents *= counts[f]
+            consequents = sum(c for i, c in enumerate(counts) if i not in subset)
+            total += antecedents * consequents
+    return total
+
+
+def brute_force_implications(table, min_confidence, max_antecedents):
+    """Ground-truth enumeration of every rule meeting the confidence bound.
+
+    Checks all (antecedent set, consequent item) combinations by direct row
+    counting, independent of the level-wise miner and the bitset counting
+    kernel; only the metric formula, ``quality.rule_metrics``, is shared.
+    Guarded: the enumeration must stay within 10^7 combinations.
+    """
+    size = _enumeration_size(table, max_antecedents)
+    if size > BRUTE_FORCE_GUARD:
+        raise ValueError(f"enumeration of {size} combinations exceeds the guard")
+    n = table.n_rows
+    if n == 0:
+        return []
+    counts = [len(f.class_values) for f in table.features]
+    rules, counted = [], []
+    for a_size in range(1, min(max_antecedents, len(counts)) + 1):
+        for subset in combinations(range(len(counts)), a_size):
+            outside = [f for f in range(len(counts)) if f not in subset]
+            for classes in product(*(range(counts[f]) for f in subset)):
+                x_mask = np.ones(n, dtype=bool)
+                for feat, cls in zip(subset, classes):
+                    x_mask &= table.rows[:, feat] == cls
+                n_x = int(x_mask.sum())
+                if n_x == 0:
+                    continue
+                antecedent = frozenset(Item(f, c) for f, c in zip(subset, classes))
+                for feat in outside:
+                    for cls in range(counts[feat]):
+                        y_mask = table.rows[:, feat] == cls
+                        n_xy = int((x_mask & y_mask).sum())
+                        if n_xy / n_x >= min_confidence:
+                            rules.append(Rule(antecedent, Item(feat, cls)))
+                            counted.append((n_x, n_xy, int(y_mask.sum())))
+    n_xs, n_xys, n_ys = np.array(counted, dtype=np.int64).reshape(-1, 3).T
+    metrics = (values.tolist() for values in rule_metrics(n_xs, n_xys, n_ys, n))
+    return [
+        replace(rule, support=sup, confidence=conf, zhang=zh, coverage=cov)
+        for rule, sup, conf, cov, zh in zip(rules, *metrics)
+    ]
+
+
+def generate_test_vectors(layout, feature_subset):
+    """All marked vectors for one feature subset, with their marked items.
+
+    One vector per element of the Cartesian product of the subset's class
+    values: the chosen class slot is 1.0, sibling slots of the same feature
+    0.0, and every other feature keeps equal probabilities.
+    """
+    subset = tuple(feature_subset)
+    if not 1 <= len(set(subset)) == len(subset):
+        raise ValueError("feature subset must be non-empty and duplicate-free")
+    vectors, marked = _marked_vectors(layout, [subset])
+    items = _slot_items(layout)
+    return [(vec, tuple(items[s] for s in row)) for vec, row in zip(vectors, marked.tolist())]
+
+
+def count_test_vectors(layout, max_antecedents):
+    """Number of marked vectors over all feature subsets of size up to
+    ``max_antecedents``: the sum over subsets of the product of class counts.
+
+    ``extract_rules`` probes exactly this many rows through the network when
+    no feature constraint is set. Computed via elementary symmetric
+    polynomials, so large feature counts stay cheap.
+    """
+    if max_antecedents < 1:
+        raise ValueError("max_antecedents must be >= 1")
+    cap = min(max_antecedents, layout.n_features)
+    # coeffs[k] accumulates the sum over k-subsets of products of class counts
+    coeffs = [1] + [0] * cap
+    for count in layout.class_counts:
+        for k in range(min(cap, len(coeffs) - 1), 0, -1):
+            coeffs[k] += coeffs[k - 1] * count
+    return sum(coeffs[1:])
+
+
+def rule_coverage(rule, table):
+    """Fraction of transactions containing the antecedent, from the counting
+    kernel."""
+    return float(rule_metrics(*rule_counts([rule], table), table.n_rows)[2][0])
+
+
+def loss_gradients(net, inputs, targets):
+    """Analytic gradients of bce_loss(forward(inputs), targets) with respect
+    to every weight and bias tensor. Returns (loss, grad_weights, grad_biases).
+    """
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if inputs.shape != targets.shape or inputs.shape[1] != net.shape.input_dim:
+        raise ValueError("inputs/targets must both be (n, input_dim)")
+    return _loss_and_grads(net.weights, net.biases, net.shape.group_layout, inputs, targets)
+
+
+def initialize_network(shape, seed, config=None):
+    """Untrained network, initialised from a generator seeded with ``seed``."""
+    weights, biases = _initial_parameters(shape, np.random.default_rng(seed))
+    cfg = config if config is not None else TrainingConfig(rng_seed=seed)
+    return TrainedAutoencoder(shape, weights, biases, cfg, seed)
+
+
+def spec_to_table(spec):
+    """The generated transactions as a table, bypassing the CSV round trip."""
+    labels = [f"c{j}" for j in range(spec.classes_per_feature)]
+    features = [
+        Feature(_sensor_name(i), "categorical", list(labels)) for i in range(spec.features)
+    ]
+    return TransactionTable(features, generate_classes(spec))
 
 
 def oracle_test_vectors(layout, subset):
@@ -23,7 +163,7 @@ def oracle_test_vectors(layout, subset):
         vec = base.copy()
         items = []
         for feat, cls in zip(subset, classes):
-            vec[layout.group_slice(feat)] = 0.0
+            vec[group_slice(layout, feat)] = 0.0
             vec[layout.slot(feat, cls)] = 1.0
             items.append(Item(feat, cls))
         vectors.append((vec, tuple(items)))
@@ -51,7 +191,7 @@ def oracle_extract_rules(net, config):
                 for feat in range(n_features):
                     if feat in marked_set:
                         continue
-                    block = out[layout.group_slice(feat)]
+                    block = out[group_slice(layout, feat)]
                     best = int(np.argmax(block))
                     if block[best] > tau:
                         rules.append(Rule(antecedent, Item(feat, best)))
@@ -137,7 +277,7 @@ def oracle_rules_from_itemsets(itemsets, table, min_confidence, max_antecedents)
     n_x, n_xy, n_y, _ = oracle_count_pass(candidates, table)
     metrics = [values.tolist() for values in rule_metrics(n_x, n_xy, n_y, table.n_rows)]
     return [
-        rule.with_metrics(sup, conf, zh, cov)
+        replace(rule, support=sup, confidence=conf, zhang=zh, coverage=cov)
         for rule, sup, conf, cov, zh in zip(candidates, *metrics)
         if conf >= min_confidence
     ]

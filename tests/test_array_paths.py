@@ -3,6 +3,7 @@ the same rules in the same order, the same metric bits, and the same probe
 vectors."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,8 +235,8 @@ class TestNumberMemo:
                   for key, values in MEMO_METRICS.items()}
         columns = RuleSet.from_rules(rules, layout)
         rule_set = RuleSet(columns.antecedents, columns.consequents, layout, **floats)
-        as_list = [r.with_metrics(*(floats[k][i].item() for k in ("support", "confidence",
-                                                                   "zhang", "coverage")))
+        as_list = [replace(r, **{k: floats[k][i].item() for k in ("support", "confidence",
+                                                                   "zhang", "coverage")})
                    for i, r in enumerate(rules)]
         docs = [rule_to_doc(r, MEMO_FEATURES) for r in as_list]
         assert rules_to_json(rule_set, MEMO_FEATURES) == json.dumps(docs, indent=2, sort_keys=True)

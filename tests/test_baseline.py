@@ -6,7 +6,6 @@ import pytest
 from semarm import baseline
 from semarm.baseline import (
     FrequentItemset,
-    brute_force_implications,
     coupled_support_threshold,
     mine_frequent,
     rules_from_itemsets,
@@ -16,6 +15,7 @@ from semarm.quality import _popcount
 from semarm.transact import Feature, TransactionTable
 
 from conftest import make_random_table
+from oracles import brute_force_implications
 from test_quality import oracle_confidence, oracle_support, oracle_zhang
 
 

@@ -23,6 +23,7 @@ from semarm.transact import (
 )
 
 from conftest import WATER_GRAPH
+from oracles import brute_force_implications
 
 PLANTED = json.dumps(
     [
@@ -132,6 +133,26 @@ def test_sample_sensors_below_one_is_named_data_error(small_csv, tmp_path, capsy
     assert run(command, "--sensors", small_csv, "--out", tmp_path, "--sample-sensors", count,
                *extra) == 3
     assert "--sample-sensors must be at least 1" in single_data_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+@pytest.mark.parametrize("option, value, message", [
+    ("intervals", 0, "--intervals must be at least 1"),
+    ("intervals", -3, "--intervals must be at least 1"),
+    ("depth", -1, "--depth must be at least 0"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_intervals_and_depth_out_of_range_are_named_data_errors(small_csv, tmp_path, capsys,
+                                                                command, option, value, message,
+                                                                source):
+    """Refused by name even where no numeric sensor is binned and nothing is enriched."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({option: value}))
+    given = [f"--{option}", value] if source == "flag" else ["--config", config]
+    extra = ["--min-support", 0.5] if command == "baseline" else ["--epochs", 1]
+    assert run(command, "--sensors", small_csv, "--out", tmp_path / "run", *given, *extra) == 3
+    assert message in single_data_error(capsys)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -550,7 +571,7 @@ class TestBaseline:
         got = set(rules_from_json((out / "baseline_rules.json").read_text(), table.features))
         expected = {
             r
-            for r in baseline.brute_force_implications(table, 0.7, 2)
+            for r in brute_force_implications(table, 0.7, 2)
             if r.support >= 0.05
         }
         assert got == expected

@@ -13,19 +13,24 @@ from semarm.extract import (
     Item,
     Rule,
     RuleSet,
-    count_test_vectors,
     equal_prob_vector,
     extract_rules,
-    generate_test_vectors,
     rule_to_doc,
     rules_from_json,
     rules_to_json,
 )
-from semarm.synth import PlantedRule, SyntheticSpec, spec_to_table
+from semarm.synth import PlantedRule, SyntheticSpec
 from semarm.transact import Feature, GroupLayout, one_hot_encode
 
 from conftest import JSON_NUMBERS, JSON_TEXT, rule_lists
-from oracles import oracle_rules_from_json
+from oracles import (
+    brute_force_implications,
+    count_test_vectors,
+    generate_test_vectors,
+    group_slice,
+    oracle_rules_from_json,
+    spec_to_table,
+)
 
 
 class StubNet:
@@ -100,7 +105,7 @@ class TestGenerateTestVectors:
         layout = GroupLayout((2, 3, 4))
         for vec, items in generate_test_vectors(layout, (0, 2)):
             for item in items:
-                block = vec[layout.group_slice(item.feature)]
+                block = vec[group_slice(layout, item.feature)]
                 assert block.sum() == 1.0
                 assert block[item.class_index] == 1.0
 
@@ -236,8 +241,6 @@ class TestExtractionOnTrainedNet:
         assert Rule(frozenset({Item(0, 0)}), Item(1, 1)) in rules
         # every confidence-1.0 single-antecedent implication over the planted
         # pair should also be found by a direct scan of the training data
-        from semarm.baseline import brute_force_implications
-
         certain = {
             r
             for r in brute_force_implications(table, 1.0, 1)

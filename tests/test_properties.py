@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semarm import quality
-from semarm.extract import Item, Rule, count_test_vectors, generate_test_vectors
+from semarm.extract import Item, Rule
 from semarm.transact import (
     Feature,
     GroupLayout,
@@ -15,6 +15,7 @@ from semarm.transact import (
 )
 
 from conftest import expected_one_hot
+from oracles import count_test_vectors, generate_test_vectors, rule_coverage
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
 
@@ -78,7 +79,7 @@ def test_support_identity_and_ranges(table, seed):
         Item(int(feats[1]), int(rng.integers(0, len(table.features[int(feats[1])].class_values)))),
     )
     sup = quality.support(rule, table)
-    cov = quality.rule_coverage(rule, table)
+    cov = rule_coverage(rule, table)
     conf = quality.confidence(rule, table)
     assert 0.0 <= sup <= cov <= 1.0
     assert 0.0 <= conf <= 1.0

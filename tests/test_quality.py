@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from semarm.quality import (
     report_to_doc,
     report_to_json,
     rule_counts,
-    rule_coverage,
     support,
     zhang,
 )
 from semarm.transact import Feature, GroupLayout, TransactionTable
 
 from conftest import JSON_NUMBERS, JSON_TEXT, make_random_table, rule_lists
+from oracles import rule_coverage
 
 
 # --- independent row-scan oracles: pure-python loops over rendered rows ---
@@ -443,7 +444,8 @@ def reports(draw):
     """(report, features, extra): a report over drawn rules with drawn
     metrics, and extra top-level keys like the CLI's."""
     features, rules = draw(rule_lists())
-    per_rule = [rule.with_metrics(*(draw(JSON_NUMBERS) for _ in range(4))) for rule in rules]
+    keys = ("support", "confidence", "zhang", "coverage")
+    per_rule = [replace(rule, **{key: draw(JSON_NUMBERS) for key in keys}) for rule in rules]
     per_rule = RuleSet.from_rules(per_rule, GroupLayout.of(features))
     report = RuleQualityReport(per_rule, len(per_rule), *(draw(JSON_NUMBERS) for _ in range(5)))
     extra = draw(st.fixed_dictionaries({}, optional={

@@ -8,9 +8,10 @@ from semarm.synth import (
     UnsatisfiableSpecError,
     build_dataset,
     generate_classes,
-    spec_to_table,
 )
 from semarm.transact import Enrichment, aggregate, build_transactions, load_sensor_csv
+
+from oracles import spec_to_table
 
 
 def class_value_rows(table):
