@@ -4,7 +4,8 @@ Three tanh encoder layers, three decoder layers with softmax applied
 independently within each feature's slot group, trained to reconstruct the
 clean input from a Gaussian-corrupted copy under aggregated binary
 cross-entropy, with Adam and decoupled weight decay. All arithmetic is
-float64 and fully deterministic for a fixed seed.
+float64 and fully deterministic for a fixed seed. Parameters, gradients and
+Adam's moments are flat vectors that a training step updates in place.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "TrainingConfig",
     "NetworkShape",
     "TrainedAutoencoder",
-    "bce_loss",
     "train",
     "model_to_doc",
     "model_from_doc",
@@ -107,7 +107,8 @@ class NetworkShape:
 @dataclass(eq=False)
 class TrainedAutoencoder:
     """Immutable-after-training network: per-layer weights/biases plus the
-    shape, the training config snapshot, and the seed that produced it."""
+    shape, the training config snapshot, the seed that produced it, and its
+    epochs' mean losses (a loaded network keeps only the last)."""
 
     shape: NetworkShape
     weights: list[np.ndarray]
@@ -115,6 +116,7 @@ class TrainedAutoencoder:
     config: TrainingConfig
     rng_seed: int
     final_loss: float | None = None
+    epoch_losses: tuple[float, ...] = ()
 
     def __post_init__(self):
         dims = self.shape.layer_dims
@@ -156,58 +158,48 @@ class TrainedAutoencoder:
 
 
 def _group_softmax(z: np.ndarray, layout: GroupLayout) -> np.ndarray:
-    starts = np.asarray(layout.offsets)
-    counts = np.asarray(layout.class_counts)
-    shifted = z - np.repeat(np.maximum.reduceat(z, starts, axis=1), counts, axis=1)
-    e = np.exp(shifted)
-    return e / np.repeat(np.add.reduceat(e, starts, axis=1), counts, axis=1)
+    """``z`` softmax-normalized within each feature's slot group, in place."""
+    z -= np.repeat(np.maximum.reduceat(z, layout.offsets, axis=1), layout.class_counts, axis=1)
+    np.exp(z, out=z)
+    z /= np.repeat(np.add.reduceat(z, layout.offsets, axis=1), layout.class_counts, axis=1)
+    return z
 
 
 def _activations(weights, biases, layout, batch):
-    """All layer activations: [input, 5 tanh layers] plus softmax output."""
+    """[input, 5 tanh layers] and the softmax output, each made in its fresh matmul output."""
     acts = [batch]
-    for layer in range(5):
-        acts.append(np.tanh(acts[-1] @ weights[layer] + biases[layer]))
-    out = _group_softmax(acts[-1] @ weights[5] + biases[5], layout)
-    return acts, out
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.tanh(z, out=z) if layer < 5 else _group_softmax(z, layout))
+    return acts[:-1], acts[-1]
 
 
-def bce_loss(reconstruction, clean_target) -> float:
-    """Mean binary cross-entropy over all slots.
-
-    Reconstruction entries are clamped to [1e-12, 1 - 1e-12] before the logs,
-    so exact {0,1} reconstructions of a {0,1} target give (near) zero loss.
-    """
-    p = np.asarray(reconstruction, dtype=np.float64)
-    y = np.asarray(clean_target, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {y.shape}")
-    p = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
-
-def _loss_and_grads(weights, biases, layout, noisy, clean):
-    """Loss plus exact gradients of bce_loss(forward(noisy), clean)."""
-    acts, p = _activations(weights, biases, layout, noisy)
-    loss = bce_loss(p, clean)
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-
-    n_terms = clean.size
-    dp = (-(clean / pc) + (1.0 - clean) / (1.0 - pc)) / n_terms
+def _backprop(tensors, grads, layout, noisy, clean) -> float:
+    """Mean binary cross-entropy of the reconstruction of ``noisy`` against ``clean``, each
+    probability clamped to [1e-12, 1 - 1e-12]; writes its exact gradients with respect to
+    the 6 weight and 6 bias ``tensors`` into ``grads``, in the same order."""
+    acts, p = _activations(tensors[:6], tensors[6:], layout, noisy)
+    pc = np.minimum(np.maximum(p, CLAMP_EPS), 1.0 - CLAMP_EPS)
+    clean_off, pc_off = 1.0 - clean, 1.0 - pc
+    dp = clean_off / pc_off
+    terms = np.log(pc) * clean
+    terms += np.multiply(np.log(pc_off, out=pc_off), clean_off, out=pc_off)
+    loss = -float(np.add.reduce(terms, axis=None)) / clean.size
+    dp -= np.divide(clean, pc, out=pc)
+    dp /= clean.size
     # softmax backward, independently per feature group
-    starts = np.asarray(layout.offsets)
-    counts = np.asarray(layout.class_counts)
-    inner = np.repeat(np.add.reduceat(dp * p, starts, axis=1), counts, axis=1)
-    delta = p * (dp - inner)
-
-    grads_w = [None] * 6
-    grads_b = [None] * 6
+    inner = np.add.reduceat(np.multiply(dp, p, out=pc), layout.offsets, axis=1)
+    dp -= np.repeat(inner, layout.class_counts, axis=1)
+    delta = np.multiply(dp, p, out=dp)
     for layer in range(5, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(acts[layer].T, delta, out=grads[layer])
+        np.add.reduce(delta, axis=0, out=grads[6 + layer])
         if layer:  # the input layer needs no upstream gradient
-            delta = (delta @ weights[layer].T) * (1.0 - acts[layer] ** 2)
-    return loss, grads_w, grads_b
+            slope = np.square(acts[layer], out=acts[layer])  # the tanh output is spent
+            delta = delta @ tensors[layer].T
+            delta *= np.subtract(1.0, slope, out=slope)
+    return loss
 
 
 def _initial_parameters(shape: NetworkShape, rng: np.random.Generator):
@@ -230,9 +222,9 @@ def train(
 
     Each epoch shuffles the rows; every mini-batch is corrupted with
     zero-mean Gaussian noise (sigma = noise_factor) clamped to [0, 1], pushed
-    forward, scored with bce_loss against the clean batch, and updated with
-    Adam plus decoupled weight decay. Deterministic for a fixed rng_seed; the
-    returned network records the final epoch's mean loss.
+    forward, scored with binary cross-entropy against the clean batch, and
+    updated with Adam plus decoupled weight decay. Deterministic for a fixed
+    rng_seed; the returned network records each epoch's mean loss.
     """
     if matrix.n_rows == 0:
         raise ValueError("cannot train on an empty matrix")
@@ -245,42 +237,46 @@ def train(
 
     rng = np.random.default_rng(config.rng_seed)
     weights, biases = _initial_parameters(shape, rng)
-    # Adam updates one flat vector; the layer arrays are views into it.
+    # Parameters, gradients and Adam's moments are flat vectors laid out as weights then biases,
+    # by layer; tensors and grads are views of the first two; scratch and root serve Adam's step.
     params = np.concatenate([t.ravel() for t in weights + biases])
-    chunks = np.split(params, np.cumsum([t.size for t in weights + biases])[:-1])
-    weights = [c.reshape(t.shape) for c, t in zip(chunks[:6], weights)]
-    biases = chunks[6:]
-    m, v = np.zeros_like(params), np.zeros_like(params)
+    grad, m, v, scratch, root = (np.zeros_like(params) for _ in range(5))
+    bounds = np.cumsum([t.size for t in weights + biases])[:-1]
+    tensors, grads = ([c.reshape(t.shape) for c, t in zip(np.split(flat, bounds), weights + biases)]
+                      for flat in (params, grad))
     step = 0
-    data = matrix.data
     n = matrix.n_rows
-    epoch_loss = math.nan
+    epoch_losses = []
 
     for _ in range(config.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            clean = data[idx]
-            noisy = np.clip(clean + rng.normal(0.0, config.noise_factor, clean.shape), 0.0, 1.0)
-            loss, grads_w, grads_b = _loss_and_grads(weights, biases, shape.group_layout, noisy, clean)
+            clean = matrix.data[idx]
+            noisy = rng.normal(0.0, config.noise_factor, clean.shape)
+            np.minimum(np.maximum(np.add(noisy, clean, out=noisy), 0.0, out=noisy), 1.0, out=noisy)
+            loss = _backprop(tensors, grads, shape.group_layout, noisy, clean)
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at step {step + 1}: {loss}")
             step += 1
-            grad = np.concatenate([g.ravel() for g in grads_w + grads_b])
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
+            m += np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = m / (1.0 - ADAM_BETA1**step)
-            v_hat = v / (1.0 - ADAM_BETA2**step)
-            params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            v += np.multiply(np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch), grad, out=scratch)
+            np.divide(m, 1.0 - ADAM_BETA1**step, out=scratch)  # m_hat
+            scratch *= config.learning_rate
+            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**step, out=root), out=root)  # sqrt(v_hat)
+            root += ADAM_EPS
+            params -= np.divide(scratch, root, out=scratch)
             if config.weight_decay:
-                params -= config.learning_rate * config.weight_decay * params
+                params -= np.multiply(params, config.learning_rate * config.weight_decay,
+                                      out=scratch)
             loss_sum += loss * len(idx)
-        epoch_loss = loss_sum / n
+        epoch_losses.append(loss_sum / n)
 
-    return TrainedAutoencoder(shape, weights, biases, config, config.rng_seed, epoch_loss)
+    return TrainedAutoencoder(shape, tensors[:6], tensors[6:], config, config.rng_seed,
+                              epoch_losses[-1], tuple(epoch_losses))
 
 
 def model_to_doc(net: TrainedAutoencoder) -> dict:

@@ -334,6 +334,7 @@ def cmd_train(args) -> int:
         "training": asdict(net.config),
         "seed": config.rng_seed,
         "final_loss": net.final_loss,
+        "epoch_losses": list(net.epoch_losses),
         "timings": {"ingest_seconds": ingest_seconds, "train_seconds": train_seconds},
     }
     _write_json(out / "manifest.json", manifest)

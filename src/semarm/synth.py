@@ -232,11 +232,11 @@ def build_dataset(spec: SyntheticSpec) -> tuple[np.ndarray, str, str]:
     reading per sensor per window, windows starting at 0.
     """
     matrix = generate_classes(spec)
+    names = [_sensor_name(feat) for feat in range(spec.features)]
     lines = ["timestamp,sensor_id,value"]
-    for row in range(spec.rows):
+    for row, classes in enumerate(matrix.tolist()):
         ts = row * spec.window_seconds
-        for feat in range(spec.features):
-            lines.append(f'{ts},{_sensor_name(feat)},"c{matrix[row, feat]}"')
+        lines += [f'{ts},{name},"c{c}"' for name, c in zip(names, classes)]
     csv_text = "\n".join(lines) + "\n"
     graph_text = dump_graph(*_build_graph(spec)) + "\n"
     return matrix, csv_text, graph_text

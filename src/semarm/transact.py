@@ -7,7 +7,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count
 from types import MappingProxyType
 
 import numpy as np
@@ -77,14 +77,10 @@ def _parse_timestamp(text: str) -> float:
     return value
 
 
-def _parse_value(raw: str) -> float | str:
-    """A stripped, non-empty value: a number (maybe non-finite) unless quoted or not a decimal."""
-    if len(raw) >= 2 and raw.startswith('"') and raw.endswith('"'):
-        return raw[1:-1]
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+def _parse_value(raw: str) -> str:
+    """The state named by a stripped value that ``float`` refuses: its text, unquoted."""
+    quoted = len(raw) >= 2 and raw.startswith('"') and raw.endswith('"')
+    return raw[1:-1] if quoted else raw
 
 
 def _timestamp_or_nan(text: str) -> float:
@@ -236,8 +232,14 @@ def _load_columns(data: bytes) -> SensorSeries:
         stamps = np.fromiter(map(float, stamps), np.float64, len(stamps))
     except ValueError:  # ISO-8601, or a timestamp that the check below refuses
         stamps = np.array([_timestamp_or_nan(t) for t in stamps], np.float64)
-    values = list(map(_parse_value, raws))
-    floats = np.array([0.0 if isinstance(v, str) else v for v in values], np.float64)
+    numbers, states, rest = [], {}, iter(raws)
+    while len(numbers) < len(raws):  # one map(float, ...), resumed past each value it refuses
+        try:
+            numbers.extend(map(float, rest))
+        except ValueError:  # a state: its text, by index
+            states[len(numbers)] = _parse_value(raws[len(numbers)])
+            numbers.append(0.0)
+    floats = np.array(numbers, np.float64)
     _, moment = np.unique(stamps, return_inverse=True)  # as dict keys, -0.0 == 0.0
     keys = moment[stamp_of] * len(names) + name_of
     unique = np.diff(np.sort(keys)).all()
@@ -258,9 +260,10 @@ def _load_columns(data: bytes) -> SensorSeries:
     sensors = sorted(names)
     rank = {s: i for i, s in enumerate(sensors)}
     sensor = np.fromiter(map(rank.__getitem__, names), np.int64, len(names))[name_of]
-    vocab = sorted({v for v in values if isinstance(v, str)})
-    codes = np.fromiter(map({v: i for i, v in enumerate(vocab)}.get, values, repeat(-1)),
-                        np.int64, len(values))[value_of]
+    vocab = sorted(set(states.values()))
+    codes = np.full(len(raws), -1, np.int64)
+    codes[list(states)] = list(map({v: i for i, v in enumerate(vocab)}.get, states.values()))
+    codes = codes[value_of]
     numeric = codes < 0
     # each sensor's kind is that of its first reading; name the first reading against it
     _, head = np.unique(sensor, return_index=True)

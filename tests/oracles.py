@@ -3,12 +3,16 @@
 The functions before the ``oracle_*`` ones are entry points that no command
 runs, so they live here rather than in ``src/``; tests use them as references
 or fixtures: a layout's slice of one feature, the brute-force rule
-enumeration, marked-vector generation and counting, one rule's coverage,
-analytic gradients, untrained networks, and a synthetic spec as a table.
+enumeration, marked-vector generation and counting, one rule's coverage, the
+training loss, analytic gradients, untrained networks, and a synthetic spec
+as a table.
 
-Each ``oracle_*`` is the rule-at-a-time implementation that a columnar path
-in ``src/`` replaced, kept here only so property tests can hold the array
-path to it: same rules, same order, same metric bits.
+Each ``oracle_*`` is the straightforward implementation that a faster path in
+``src/`` replaced, kept here only so tests can hold the fast path to it: the
+rule-at-a-time code the columnar rule paths replaced (same rules, same order,
+same metric bits), the training step of one fresh array per operation that
+``autonet.train`` replaced (same parameter bits), and the per-cell synthetic
+CSV text (same bytes).
 """
 
 from dataclasses import replace
@@ -17,7 +21,13 @@ from itertools import combinations, product
 import numpy as np
 
 from semarm import jsondoc
-from semarm.autonet import TrainedAutoencoder, TrainingConfig, _initial_parameters, _loss_and_grads
+from semarm.autonet import (
+    CLAMP_EPS,
+    TrainedAutoencoder,
+    TrainingConfig,
+    _activations,
+    _initial_parameters,
+)
 from semarm.baseline import FrequentItemset
 from semarm.extract import Item, Rule, _marked_vectors, _slot_items, equal_prob_vector
 from semarm.quality import _popcount, _slot_bits, rule_counts, rule_metrics
@@ -128,6 +138,20 @@ def rule_coverage(rule, table):
     return float(rule_metrics(*rule_counts([rule], table), table.n_rows)[2][0])
 
 
+def bce_loss(reconstruction, clean_target) -> float:
+    """Mean binary cross-entropy over all slots.
+
+    Reconstruction entries are clamped to [1e-12, 1 - 1e-12] before the logs,
+    so exact {0,1} reconstructions of a {0,1} target give (near) zero loss.
+    """
+    p = np.asarray(reconstruction, dtype=np.float64)
+    y = np.asarray(clean_target, dtype=np.float64)
+    if p.shape != y.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {y.shape}")
+    p = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+
+
 def loss_gradients(net, inputs, targets):
     """Analytic gradients of bce_loss(forward(inputs), targets) with respect
     to every weight and bias tensor. Returns (loss, grad_weights, grad_biases).
@@ -136,7 +160,8 @@ def loss_gradients(net, inputs, targets):
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if inputs.shape != targets.shape or inputs.shape[1] != net.shape.input_dim:
         raise ValueError("inputs/targets must both be (n, input_dim)")
-    return _loss_and_grads(net.weights, net.biases, net.shape.group_layout, inputs, targets)
+    return oracle_loss_and_grads(net.weights, net.biases, net.shape.group_layout, inputs,
+                                 targets)
 
 
 def initialize_network(shape, seed, config=None):
@@ -153,6 +178,43 @@ def spec_to_table(spec):
         Feature(_sensor_name(i), "categorical", list(labels)) for i in range(spec.features)
     ]
     return TransactionTable(features, generate_classes(spec))
+
+
+def oracle_loss_and_grads(weights, biases, layout, noisy, clean):
+    """Loss plus exact gradients of bce_loss(forward(noisy), clean), one fresh
+    array per operation: the training step that ``autonet.train`` replaced
+    with one writing into preallocated flat buffers."""
+    acts, p = _activations(weights, biases, layout, noisy)
+    loss = bce_loss(p, clean)
+    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+
+    n_terms = clean.size
+    dp = (-(clean / pc) + (1.0 - clean) / (1.0 - pc)) / n_terms
+    # softmax backward, independently per feature group
+    starts = np.asarray(layout.offsets)
+    counts = np.asarray(layout.class_counts)
+    inner = np.repeat(np.add.reduceat(dp * p, starts, axis=1), counts, axis=1)
+    delta = p * (dp - inner)
+
+    grads_w = [None] * 6
+    grads_b = [None] * 6
+    for layer in range(5, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer:  # the input layer needs no upstream gradient
+            delta = (delta @ weights[layer].T) * (1.0 - acts[layer] ** 2)
+    return loss, grads_w, grads_b
+
+
+def oracle_csv_text(spec, matrix):
+    """``build_dataset``'s sensor CSV text of ``matrix``, formatted one numpy cell at a
+    time."""
+    lines = ["timestamp,sensor_id,value"]
+    for row in range(spec.rows):
+        ts = row * spec.window_seconds
+        for feat in range(spec.features):
+            lines.append(f'{ts},{_sensor_name(feat)},"c{matrix[row, feat]}"')
+    return "\n".join(lines) + "\n"
 
 
 def oracle_test_vectors(layout, subset):

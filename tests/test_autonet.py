@@ -12,18 +12,22 @@ from semarm.autonet import (
     NetworkShape,
     TrainedAutoencoder,
     TrainingConfig,
-    bce_loss,
     load_model,
     model_from_doc,
     model_to_doc,
     save_model,
     _initial_parameters,
-    _loss_and_grads,
     train,
 )
 from semarm.transact import EncodedMatrix, GroupLayout
 
-from oracles import group_slice, initialize_network, loss_gradients
+from oracles import (
+    bce_loss,
+    group_slice,
+    initialize_network,
+    loss_gradients,
+    oracle_loss_and_grads,
+)
 
 
 def toy_shape(counts=(2, 3, 2), dims=(4, 3, 2)):
@@ -282,7 +286,8 @@ def reference_train(matrix, shape, config):
             idx = order[start : start + config.batch_size]
             clean = data[idx]
             noisy = np.clip(clean + rng.normal(0.0, config.noise_factor, clean.shape), 0.0, 1.0)
-            loss, grads_w, grads_b = _loss_and_grads(weights, biases, shape.group_layout, noisy, clean)
+            loss, grads_w, grads_b = oracle_loss_and_grads(weights, biases, shape.group_layout,
+                                                           noisy, clean)
             step += 1
             for i in range(6):
                 adam_update(weights[i], grads_w[i], m_w[i], v_w[i])
@@ -370,6 +375,25 @@ class TestTrain:
         net = train(tiny_matrix(), None, TrainingConfig(epochs=2, rng_seed=5))
         for tensor in net.weights + net.biases:
             assert np.isfinite(tensor).all()
+
+    def test_training_leaves_the_matrix_unchanged(self):
+        matrix = tiny_matrix(rows=40)
+        before = matrix.data.tobytes()
+        train(matrix, None, TrainingConfig(epochs=2, batch_size=7, rng_seed=3))
+        assert matrix.data.tobytes() == before
+
+    def test_non_finite_loss_names_its_step(self):
+        # the first update overflows every parameter, so the second step's loss is NaN;
+        # errstate keeps numpy's overflow warning from failing the test first
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="at step 2: "):
+            train(tiny_matrix(), None, TrainingConfig(learning_rate=1e308))
+
+    def test_epoch_losses_end_with_the_final_loss(self):
+        net = train(tiny_matrix(), None, TrainingConfig(epochs=4, rng_seed=6))
+        assert len(net.epoch_losses) == 4
+        assert net.epoch_losses[-1] == net.final_loss
+        single = train(tiny_matrix(), None, TrainingConfig(epochs=1, rng_seed=6))
+        assert single.epoch_losses == net.epoch_losses[:1]
 
 
 class TestSaveLoad:

@@ -93,6 +93,19 @@ class TestTrain:
         assert len(manifest["features"]) == 5
         assert {"ingest_seconds", "train_seconds"} <= set(manifest["timings"])
 
+    def test_manifest_records_each_epochs_loss(self, small_csv, tmp_path):
+        losses = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run("train", "--sensors", small_csv, "--out", out, "--epochs", 3,
+                       "--seed", 2) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            model = json.loads((out / "model.json").read_text())
+            assert len(manifest["epoch_losses"]) == 3
+            assert manifest["epoch_losses"][-1] == manifest["final_loss"] == model["final_loss"]
+            assert "epoch_losses" not in model
+            losses.append(manifest["epoch_losses"])
+        assert losses[0] == losses[1]
+
     def test_enrichment_manifest_differs_only_in_features(self, dataset, tmp_path):
         plain_dir, rich_dir = tmp_path / "plain", tmp_path / "rich"
         for out, extra in ((plain_dir, []), (rich_dir, ["--enrich", "--depth", "1"])):

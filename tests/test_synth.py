@@ -11,7 +11,7 @@ from semarm.synth import (
 )
 from semarm.transact import Enrichment, aggregate, build_transactions, load_sensor_csv
 
-from oracles import spec_to_table
+from oracles import oracle_csv_text, spec_to_table
 
 
 def class_value_rows(table):
@@ -109,6 +109,16 @@ class TestDatasetFiles:
         _, csv1, graph1 = build_dataset(spec)
         _, csv2, graph2 = build_dataset(spec)
         assert csv1 == csv2 and graph1 == graph2
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(1, 1, 1),
+        SyntheticSpec(4, 3, 50, seed=8),
+        SyntheticSpec(12, 11, 30, seed=2, window_seconds=7, noise_rate=0.3),
+        SyntheticSpec(3, 3, 200, planted=(PlantedRule(((0, 0),), (1, 1)),), seed=5),
+    ], ids=["single-cell", "small", "wide-classes", "planted"])
+    def test_csv_text_matches_the_per_cell_formatting(self, spec):
+        matrix, csv_text, _ = build_dataset(spec)
+        assert csv_text == oracle_csv_text(spec, matrix)
 
     def test_csv_round_trips_through_pipeline(self):
         spec = SyntheticSpec(3, 3, 40, seed=9)
