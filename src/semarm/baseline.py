@@ -14,7 +14,6 @@ Srikant, VLDB 1994), with no pass over the table.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,9 @@ class FrequentItemset:
 
 
 @dataclass(frozen=True, eq=False)
-class FrequentItemsets(Sequence):
-    """Frequent itemsets as a sequence of ``FrequentItemset``, by size and
-    then items. ``levels[k - 1]`` is ``(slots, counts)``: the k-itemsets'
+class FrequentItemsets:
+    """Frequent itemsets, iterated as ``FrequentItemset``s by size and then
+    items. ``levels[k - 1]`` is ``(slots, counts)``: the k-itemsets'
     ascending one-hot slots as rows sorted lexicographically, and their row
     counts over ``n_rows`` rows."""
 
@@ -57,9 +56,6 @@ class FrequentItemsets(Sequence):
         for slots, counts in self.levels:
             for row, count in zip(slots.tolist(), counts.tolist()):
                 yield FrequentItemset(frozenset(items[s] for s in row), count / self.n_rows)
-
-    def __getitem__(self, index):
-        return list(self)[index]
 
 
 def _row_index(sorted_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -156,14 +152,14 @@ def rules_from_itemsets(
             levels[0][1][_row_index(levels[0][0], slots.reshape(-1, 1))],
         ))
     if not parts:
-        return RuleSet.from_rules([], layout)
+        return RuleSet(np.empty((0, 1), np.int64), np.empty(0, np.int64), layout)
     antecedents, consequents, n_x, n_xy, n_y = map(np.concatenate, zip(*parts))
     support, confidence, coverage, zhang = rule_metrics(n_x, n_xy, n_y, table.n_rows)
     rules = RuleSet(antecedents, consequents, layout, support, confidence, zhang, coverage)
     return rules[confidence >= min_confidence]
 
 
-def coupled_support_threshold(reference_rules, table: TransactionTable) -> float:
+def coupled_support_threshold(reference_rules: RuleSet, table: TransactionTable) -> float:
     """Support threshold for comparison runs: half the mean measured support
     of the rules the autoencoder route produced. ValueError when there are
     no rules, or when none of them holds in any row."""

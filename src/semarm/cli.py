@@ -396,6 +396,8 @@ def cmd_mine(args) -> int:
 def cmd_baseline(args) -> int:
     if (args.rules is None) == (args.min_support is None):
         raise UsageError("baseline needs exactly one of --min-support and --rules")
+    if args.max_antecedents < 1:
+        raise ValueError("--max-antecedents must be at least 1")
     table, _ = _build_table(args)
     min_support = args.min_support
     if args.rules is not None:

@@ -5,15 +5,15 @@ is pinned to probability 1 (its siblings to 0) while every other feature
 holds uniform class probabilities. If the network reconstructs every marked
 class at or above the similarity threshold, each unmarked feature whose top
 class clears the threshold becomes a consequent.
-Rule lists travel from the probe or a rules document to the writers as a
-columnar ``RuleSet``; ``Item`` and ``Rule`` stay the scalar model it reads as.
+Rules travel from the probe or a rules document to the counting kernel and
+the writers as one columnar ``RuleSet``, the only rule type any code path here
+takes or builds; ``Item`` and ``Rule`` are only the records its iteration yields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
@@ -44,19 +44,12 @@ class Item:
     feature: int
     class_index: int
 
-    def render(self, features: list[Feature]) -> str:
-        feat = features[self.feature]
-        return f"{feat.name}={feat.class_values[self.class_index]}"
-
 
 @dataclass(frozen=True)
 class Rule:
-    """Implication with a non-empty antecedent item set and one consequent.
-
-    Antecedent items must come from pairwise-distinct features, none of which
-    is the consequent's feature. Measured quality metrics are optional
-    annotations and do not take part in equality or hashing.
-    """
+    """One rule of a ``RuleSet`` as its iteration yields it: a non-empty
+    antecedent item set of pairwise-distinct features, none of them the
+    consequent's. Metrics do not take part in equality or hashing."""
 
     antecedent: frozenset[Item]
     consequent: Item
@@ -64,14 +57,6 @@ class Rule:
     confidence: float | None = field(default=None, compare=False)
     zhang: float | None = field(default=None, compare=False)
     coverage: float | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if fault := _shape_fault([i.feature for i in self.antecedent], self.consequent.feature):
-            raise ValueError(fault)
-
-    def render(self, features: list[Feature]) -> str:
-        lhs = ", ".join(item.render(features) for item in sorted(self.antecedent))
-        return f"{lhs} -> {self.consequent.render(features)}"
 
 
 def _shape_fault(antecedent_features: list[int], consequent_feature: int) -> str | None:
@@ -82,14 +67,6 @@ def _shape_fault(antecedent_features: list[int], consequent_feature: int) -> str
         return "antecedent items must come from distinct features"
     if consequent_feature in antecedent_features:
         return "consequent feature may not appear in the antecedent"
-
-
-def _checked_rule(antecedent, consequent, support, confidence, zhang, coverage) -> Rule:
-    """A ``Rule`` of already checked items, built without ``__post_init__``."""
-    rule = object.__new__(Rule)
-    rule.__dict__.update(antecedent=antecedent, consequent=consequent, support=support,
-                         confidence=confidence, zhang=zhang, coverage=coverage)
-    return rule
 
 
 def _slot_items(layout: GroupLayout) -> list[Item]:
@@ -105,14 +82,13 @@ _DOC_METRICS = ("confidence", "support", "zhang")  # those a rules document hold
 
 
 @dataclass(frozen=True, eq=False)
-class RuleSet(Sequence):
-    """Rules as columns, read as a sequence of ``Rule`` views.
+class RuleSet:
+    """Rules as columns.
 
     Row i of ``antecedents`` holds rule i's antecedent slots (``offsets[f] +
     class``, which sort as ``Item`` does) ascending, padded with
     ``layout.width``; ``consequents[i]`` is its consequent's slot. A metric
-    column is None (no rule has it), a float64 array, or an object array
-    that may hold None. A RuleSet equals a list of the same rules in order.
+    column is a float64 array, or None when the rules do not carry it.
     """
 
     antecedents: np.ndarray
@@ -123,27 +99,6 @@ class RuleSet(Sequence):
     zhang: np.ndarray | None = None
     coverage: np.ndarray | None = None
 
-    @classmethod
-    def from_rules(cls, rules, layout: GroupLayout) -> RuleSet:
-        """``rules`` as a RuleSet on ``layout`` (a RuleSet on it is returned as
-        it is); ValueError for an item or a RuleSet outside the layout."""
-        if isinstance(rules, RuleSet):
-            if rules.layout != layout:
-                raise ValueError(f"rules are on layout {rules.layout.class_counts}, "
-                                 f"not the table's {layout.class_counts}")
-            return rules
-        rules = list(rules)
-
-        def slot(item: Item) -> int:
-            try:
-                return layout.slot(item.feature, item.class_index)
-            except IndexError:
-                raise ValueError(f"rule item {item} is outside the table's layout") from None
-
-        return _columns([sorted(map(slot, r.antecedent)) for r in rules],
-                        [slot(r.consequent) for r in rules], layout,
-                        {key: [getattr(r, key) for r in rules] for key in _METRICS})
-
     def __len__(self) -> int:
         return len(self.consequents)
 
@@ -153,23 +108,14 @@ class RuleSet(Sequence):
                    for c in (getattr(self, key) for key in _METRICS))
         for row, consequent, *values in zip(self.antecedents.tolist(),
                                             self.consequents.tolist(), *metrics):
-            yield _checked_rule(frozenset(items[s] for s in row if s != pad), items[consequent],
-                                *values)
+            yield Rule(frozenset(items[s] for s in row if s != pad), items[consequent], *values)
 
-    def __getitem__(self, index):
-        """A ``Rule`` view for an int; the selected rules for a slice or an
-        index array."""
-        if isinstance(index, (int, np.integer)):
-            return next(iter(self[[range(len(self))[index]]]))
-        rows = np.arange(len(self))[index]
+    def __getitem__(self, index) -> RuleSet:
+        """The rules a slice, a boolean mask or an index array selects."""
         metrics = {key: getattr(self, key) for key in _METRICS}
-        return replace(self, antecedents=self.antecedents[rows], consequents=self.consequents[rows],
-                       **{key: None if c is None else c[rows] for key, c in metrics.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (RuleSet, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        return replace(self, antecedents=self.antecedents[index],
+                       consequents=self.consequents[index],
+                       **{key: None if c is None else c[index] for key, c in metrics.items()})
 
     def antecedent_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct, which): the distinct antecedent rows in lexicographic
@@ -177,20 +123,6 @@ class RuleSet(Sequence):
         _, first, which = np.unique(_row_keys(self.antecedents), return_index=True,
                                     return_inverse=True)
         return self.antecedents[first], which
-
-
-def _columns(antecedents: list[list[int]], consequents: list[int], layout: GroupLayout,
-             metrics: dict[str, list]) -> RuleSet:
-    """A RuleSet of each rule's ascending antecedent slots, consequent slot and
-    metric values. A metric column is float64 if every value is a float, else
-    the values as they are; it is left out if every value is None."""
-    lengths = np.fromiter(map(len, antecedents), np.int64, len(antecedents))
-    rows = np.full((len(antecedents), lengths.max(initial=1)), layout.width, dtype=np.int64)
-    rows[np.arange(rows.shape[1]) < lengths[:, None]] = list(chain.from_iterable(antecedents))
-    columns = {key: np.fromiter(values, np.float64 if all(type(v) is float for v in values)
-                                else object, len(values))
-               for key, values in metrics.items() if any(v is not None for v in values)}
-    return RuleSet(rows, np.array(consequents, dtype=np.int64), layout, **columns)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -318,23 +250,18 @@ def _pick(texts: list[str], index: np.ndarray) -> list[str]:
 
 
 def _metric_fields(rules: RuleSet, keys, sep: str) -> dict[str, list[str]]:
-    """For each metric in ``keys`` that some rule has, every rule's
-    ``<sep>"<key>": <value>`` text, or "" where the rule has no value. Float
-    columns render each distinct bit pattern once, so values that compare
-    equal but print apart (0.0 and -0.0) are never merged."""
-    columns = {key: getattr(rules, key) for key in keys if getattr(rules, key) is not None}
-    floats = [key for key, column in columns.items() if column.dtype == np.float64]
-    fields = {}
-    if floats:
-        bits = np.concatenate([columns[key].view(np.int64) for key in floats])
-        distinct, which = np.unique(bits, return_inverse=True)
-        texts = [_json_scalar(value) for value in distinct.view(np.float64).tolist()]
-        for key, rows in zip(floats, np.split(which, len(floats))):
-            fields[key] = _pick([f'{sep}"{key}": {text}' for text in texts], rows)
-    for key, column in columns.items():
-        if key not in fields:
-            fields[key] = ["" if v is None else f'{sep}"{key}": {_json_scalar(v)}' for v in column]
-    return fields
+    """For each metric in ``keys`` that the rules carry, every rule's
+    ``<sep>"<key>": <value>`` text. Each distinct bit pattern renders once, so
+    values that compare equal but print apart (0.0 and -0.0) are never
+    merged."""
+    present = [key for key in keys if getattr(rules, key) is not None]
+    if not present:
+        return {}
+    bits = np.concatenate([getattr(rules, key).view(np.int64) for key in present])
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = [_json_scalar(value) for value in distinct.view(np.float64).tolist()]
+    return {key: _pick([f'{sep}"{key}": {text}' for text in texts], rows)
+            for key, rows in zip(present, np.split(which, len(present)))}
 
 
 def rules_array_json(rules: RuleSet, features: list[Feature], keys, depth: int = 0) -> str:
@@ -342,8 +269,8 @@ def rules_array_json(rules: RuleSet, features: list[Feature], keys, depth: int =
     ``json.dumps(docs, indent=2, sort_keys=True)`` writes it when the array
     sits ``depth`` levels deep in an enclosing document.
 
-    Each document holds a rule's items and the metrics named in ``keys``; a
-    metric that is None is left out, as ``rule_to_doc`` does. Every item,
+    Each document holds a rule's items and the metrics named in ``keys``
+    that the rules carry, as ``rule_to_doc`` writes them. Every item,
     every distinct antecedent row and every distinct number is rendered
     once, and the documents are these fragments joined column by column.
     """
@@ -398,9 +325,10 @@ _ITEMS = jsondoc.array_of(jsondoc.OBJECT, "an array of objects")
 
 def rules_from_json(source, features: list[Feature], name: str = "rules document") -> RuleSet:
     """The rules of a rules document (text or a stream) as a RuleSet on the
-    layout of ``features``; metrics are taken as they are, and an item given
-    twice counts once. Every error names the document and the rule, as
-    ``<name>: rule <i>``, and the first failing rule is the one named."""
+    layout of ``features``, without metrics: a command measures the rules it
+    reads. An item given twice counts once. Every error names the document
+    and the rule, as ``<name>: rule <i>``, and the first failing rule is the
+    one named."""
     docs = jsondoc.checked(jsondoc.load(source, name), jsondoc.ARRAY, name)
     layout = GroupLayout.of(features)
     by_name = {f.name: {c: (i, layout.offsets[i] + j) for j, c in enumerate(f.class_values)}
@@ -420,5 +348,7 @@ def rules_from_json(source, features: list[Feature], name: str = "rules document
             raise ValueError(f"{part}: {fault}")
         antecedents.append(sorted(s for _, s in items))
         consequents.append(slot)
-    return _columns(antecedents, consequents, layout,
-                    {key: [doc.get(key) for doc in docs] for key in _DOC_METRICS})
+    lengths = np.fromiter(map(len, antecedents), np.int64, len(antecedents))
+    rows = np.full((len(antecedents), lengths.max(initial=1)), layout.width, dtype=np.int64)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = list(chain.from_iterable(antecedents))
+    return RuleSet(rows, np.array(consequents, dtype=np.int64), layout)

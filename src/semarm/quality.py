@@ -2,14 +2,13 @@
 coverage, data coverage, and Zhang's association-strength metric.
 
 All metrics are exact integer counts followed by one final division, so
-independent row-scan recomputations agree bit-for-bit. ``rule_counts`` counts
-a whole ``RuleSet`` in one pass over per-item row bitsets (the vertical layout
-of ECLAT), one bitset per distinct antecedent row, and ``rule_metrics`` is the
-one place the metrics are computed from counts. ``evaluate`` is the one
-counting pass a command makes over its rules. The scalar functions (``support``,
-``confidence``, ``zhang``, ``data_coverage``) are views over that kernel for one
-rule or rule list; their row-scan references are the ``oracle_*`` functions in
-``tests/test_quality.py`` and ``tests/oracles.py``.
+independent row-scan recomputations agree bit-for-bit. ``evaluate`` is the one
+counting pass a command makes over its rules: it counts a whole ``RuleSet`` on
+per-item row bitsets (the vertical layout of ECLAT), one bitset per distinct
+antecedent row, and ``rule_metrics`` is the one place the metrics are computed
+from counts. The row-scan references they are tested against, and the
+one-rule views over this kernel, are in ``tests/test_quality.py`` and
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,16 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extract import Rule, RuleSet, rule_to_doc, rules_array_json
+from .extract import RuleSet, rule_to_doc, rules_array_json
 from .transact import Feature, TransactionTable
 
 __all__ = [
     "RuleQualityReport",
-    "support",
-    "confidence",
-    "data_coverage",
-    "zhang",
-    "rule_counts",
     "rule_metrics",
     "evaluate",
     "annotate_rules",
@@ -41,40 +35,6 @@ __all__ = [
 
 # Rules listed one per line in the text report; the rest are counted.
 MAX_REPORT_RULES = 50
-
-
-def _metrics(rule: Rule, table: TransactionTable) -> list[float]:
-    """[support, confidence, rule coverage, zhang] of one rule, from the
-    counting kernel."""
-    return [float(values[0]) for values in rule_metrics(*rule_counts([rule], table), table.n_rows)]
-
-
-def support(rule: Rule, table: TransactionTable) -> float:
-    """Fraction of transactions containing every item of the rule."""
-    return _metrics(rule, table)[0]
-
-
-def confidence(rule: Rule, table: TransactionTable) -> float:
-    """Fraction of antecedent transactions also containing the consequent;
-    0 when the antecedent never occurs."""
-    return _metrics(rule, table)[1]
-
-
-def data_coverage(rules, table: TransactionTable) -> float:
-    """Fraction of transactions matched by at least one rule's antecedent."""
-    rules = RuleSet.from_rules(rules, table.layout())
-    return _count_pass(rules, table)[3] / table.n_rows if len(rules) else 0.0
-
-
-def zhang(rule: Rule, table: TransactionTable) -> float:
-    """Association strength in [-1, 1]: positive for association, 0 for
-    independence, negative for dissociation.
-
-    Computed as (conf(X->Y) - conf(X'->Y)) / max(conf(X->Y), conf(X'->Y))
-    with X' the transactions lacking X. Returns 0 when X covers every row
-    (X' is empty) or when both confidences are 0.
-    """
-    return _metrics(rule, table)[3]
 
 
 @dataclass
@@ -118,8 +78,13 @@ def _count_pass(rules: RuleSet, table: TransactionTable):
     Rules are grouped by antecedent row; each group's row bitset is the AND
     of its slots' bitsets (the padding slot holds every row), built once per
     step and intersected with every consequent of the group. Raises
-    ValueError for rules on a table with no rows.
+    ValueError for rules on another layout than the table's, or on a table
+    with no rows.
     """
+    layout = table.layout()
+    if rules.layout != layout:
+        raise ValueError(f"rules are on layout {rules.layout.class_counts}, "
+                         f"not the table's {layout.class_counts}")
     if len(rules) and table.n_rows == 0:
         raise ValueError("cannot measure rules on a table with no rows")
     slot_bits = _slot_bits(table)
@@ -142,17 +107,9 @@ def _count_pass(rules: RuleSet, table: TransactionTable):
     return n_x, n_xy, n_y, int(_popcount(covered))
 
 
-def rule_counts(rules, table: TransactionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(antecedent, antecedent+consequent, consequent) counts per rule, as
-    int64 arrays in rule order, from one pass over the table. Raises
-    ValueError for an item outside the table's layout."""
-    return _count_pass(RuleSet.from_rules(rules, table.layout()), table)[:3]
-
-
 def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[np.ndarray, ...]:
     """Support, confidence, rule coverage and Zhang's metric per rule, as
-    float64 arrays, from count arrays over ``n`` rows; the scalar functions
-    of the same names read their value from here."""
+    float64 arrays, from count arrays over ``n`` rows."""
     with np.errstate(divide="ignore", invalid="ignore"):
         conf_x = np.where(n_x > 0, n_xy / n_x, 0.0)
         conf_not_x = (n_y - n_xy) / (n - n_x)
@@ -161,15 +118,14 @@ def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[np.ndarray, ...]:
     return n_xy / n, conf_x, n_x / n, zhang_values
 
 
-def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
-    """Measure every metric for every rule from one counting pass; empty rule
-    lists yield a valid all-zero report.
+def evaluate(rules: RuleSet, table: TransactionTable) -> RuleQualityReport:
+    """Measure every metric for every rule from one counting pass; no rules
+    yield a valid all-zero report.
 
-    ``per_rule`` is the rules as a RuleSet carrying their measured support,
-    confidence, zhang and coverage columns. Each mean is a Python ``sum``
-    over the rules in order, divided by their number.
+    ``per_rule`` is the rules carrying their measured support, confidence,
+    zhang and coverage columns. Each mean is a Python ``sum`` over the rules
+    in order, divided by their number.
     """
-    rules = RuleSet.from_rules(rules, table.layout())
     n_x, n_xy, n_y, covered = _count_pass(rules, table)
     supports, confidences, coverages, zhangs = rule_metrics(n_x, n_xy, n_y, table.n_rows)
     per_rule = replace(rules, support=supports, confidence=confidences, zhang=zhangs,
@@ -190,8 +146,8 @@ def evaluate(rules, table: TransactionTable) -> RuleQualityReport:
     )
 
 
-def annotate_rules(rules, table: TransactionTable) -> RuleSet:
-    """Copies of the rules with their measured metrics attached."""
+def annotate_rules(rules: RuleSet, table: TransactionTable) -> RuleSet:
+    """The rules with their measured metric columns attached."""
     return evaluate(rules, table).per_rule
 
 
@@ -242,13 +198,18 @@ def format_report(report: RuleQualityReport, features: list[Feature]) -> str:
         f"{report.mean_coverage:>9.4f} {report.data_coverage:>10.4f} {report.mean_zhang:>8.4f}"
     )
     if report.per_rule:
+        rules = report.per_rule[:MAX_REPORT_RULES]
+        texts = [f"{f.name}={value}" for f in features for value in f.class_values]
+        pad = rules.layout.width
         lines.append("")
         lines.append(f"{'support':>9} {'conf':>7} {'cover':>7} {'zhang':>7}  rule")
-        for rule in report.per_rule[:MAX_REPORT_RULES]:
-            lines.append(
-                f"{rule.support:>9.4f} {rule.confidence:>7.4f} {rule.coverage:>7.4f} "
-                f"{rule.zhang:>7.4f}  {rule.render(features)}"
-            )
+        for row, consequent, sup, conf, cover, zhang in zip(
+            rules.antecedents.tolist(), rules.consequents.tolist(), rules.support.tolist(),
+            rules.confidence.tolist(), rules.coverage.tolist(), rules.zhang.tolist(),
+        ):
+            lhs = ", ".join(texts[s] for s in row if s != pad)
+            lines.append(f"{sup:>9.4f} {conf:>7.4f} {cover:>7.4f} {zhang:>7.4f}  "
+                         f"{lhs} -> {texts[consequent]}")
         if report.rule_count > MAX_REPORT_RULES:
             lines.append(f"... ({report.rule_count - MAX_REPORT_RULES} more)")
     return "\n".join(lines) + "\n"

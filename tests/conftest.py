@@ -70,11 +70,17 @@ JSON_NUMBERS = st.one_of(
 )
 
 
+# metric values as a RuleSet column holds them: floats, among them values
+# that compare equal but print apart and values JSON cannot hold exactly
+METRIC_VALUES = st.sampled_from([-0.0, 1e-07, 0.1 + 0.2, 1.0, 0.0, 2.0**53, -1e30]) | st.floats()
+
+
 @st.composite
 def rule_lists(draw):
     """(features, rules): 4-6 features with escaped names and class values,
-    0-12 rules with 1-3 antecedent items and metrics that may be None."""
-    metric = JSON_NUMBERS | st.none()
+    0-12 rules with 1-3 antecedent items; each of support, confidence and
+    zhang is a float on every rule or on none, as in a ``RuleSet``."""
+    keys = [key for key in ("support", "confidence", "zhang") if draw(st.booleans())]
     names = draw(st.lists(JSON_TEXT, min_size=4, max_size=6, unique=True))
     class_values = st.lists(JSON_TEXT, min_size=1, max_size=3, unique=True)
     features = [Feature(name, "categorical", draw(class_values)) for name in names]
@@ -88,8 +94,6 @@ def rule_lists(draw):
         rules.append(Rule(
             frozenset(item(f) for f in chosen[1:]),
             item(chosen[0]),
-            support=draw(metric),
-            confidence=draw(metric),
-            zhang=draw(metric),
+            **{key: draw(METRIC_VALUES) for key in keys},
         ))
     return features, rules

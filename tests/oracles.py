@@ -2,17 +2,21 @@
 
 The functions before the ``oracle_*`` ones are entry points that no command
 runs, so they live here rather than in ``src/``; tests use them as references
-or fixtures: a layout's slice of one feature, the brute-force rule
-enumeration, marked-vector generation and counting, one rule's coverage, the
+or fixtures: a layout's slice of one feature, a list of ``Rule``s as a
+``RuleSet`` (``rule_set``, the one way tests build rules as columns), the
+metrics of one rule or a rule list (``support``, ``confidence``,
+``rule_coverage``, ``zhang``, ``data_coverage``, ``rule_counts``: views over
+the library's counting kernel, so row-scan oracles test that kernel), the
+brute-force rule enumeration, marked-vector generation and counting, the
 training loss, analytic gradients, untrained networks, and a synthetic spec
 as a table.
 
 Each ``oracle_*`` is the straightforward implementation that a faster path in
 ``src/`` replaced, kept here only so tests can hold the fast path to it: the
 rule-at-a-time code the columnar rule paths replaced (same rules, same order,
-same metric bits), the training step of one fresh array per operation that
-``autonet.train`` replaced (same parameter bits), and the per-cell synthetic
-CSV text (same bytes).
+same metric bits, same report text), the training step of one fresh array per
+operation that ``autonet.train`` replaced (same parameter bits), and the
+per-cell synthetic CSV text (same bytes).
 """
 
 from dataclasses import replace
@@ -29,8 +33,17 @@ from semarm.autonet import (
     _initial_parameters,
 )
 from semarm.baseline import FrequentItemset
-from semarm.extract import Item, Rule, _marked_vectors, _slot_items, equal_prob_vector
-from semarm.quality import _popcount, _slot_bits, rule_counts, rule_metrics
+from semarm.extract import (
+    Item,
+    Rule,
+    RuleSet,
+    _METRICS,
+    _marked_vectors,
+    _shape_fault,
+    _slot_items,
+    equal_prob_vector,
+)
+from semarm.quality import MAX_REPORT_RULES, _count_pass, _popcount, _slot_bits, rule_metrics
 from semarm.synth import _sensor_name, generate_classes
 from semarm.transact import Feature, TransactionTable
 
@@ -41,6 +54,90 @@ def group_slice(layout, feature):
     """The slots of ``feature``'s class group in ``layout``."""
     start = layout.offsets[feature]
     return slice(start, start + layout.class_counts[feature])
+
+
+def rule_set(rules, layout):
+    """``rules``, ``Rule``s in order, as a RuleSet on ``layout``. A metric is
+    a float64 column when every rule has a float for it, and absent when no
+    rule has one. ValueError for a rule that is not one (an empty
+    antecedent, two items of one feature, the consequent's feature in the
+    antecedent), an item outside the layout, or a metric some rules lack."""
+    rules = list(rules)
+
+    def slot(item):
+        try:
+            return layout.slot(item.feature, item.class_index)
+        except IndexError:
+            raise ValueError(f"rule item {item} is outside the table's layout") from None
+
+    rows = []
+    for rule in rules:
+        if fault := _shape_fault([i.feature for i in rule.antecedent], rule.consequent.feature):
+            raise ValueError(fault)
+        rows.append(sorted(map(slot, rule.antecedent)))
+    width = max(map(len, rows), default=1)
+    antecedents = np.array([row + [layout.width] * (width - len(row)) for row in rows],
+                           dtype=np.int64).reshape(len(rows), width)
+    consequents = np.array([slot(rule.consequent) for rule in rules], dtype=np.int64)
+    columns = {}
+    for key in _METRICS:
+        values = [getattr(rule, key) for rule in rules]
+        if any(value is not None for value in values):
+            if not all(type(value) is float for value in values):
+                raise ValueError(f"{key} must be a float on every rule or on none")
+            columns[key] = np.array(values, dtype=np.float64)
+    return RuleSet(antecedents, consequents, layout, **columns)
+
+
+def _on_table(rules, table):
+    """A RuleSet as it is, and ``Rule``s as a RuleSet on the table's layout."""
+    return rules if isinstance(rules, RuleSet) else rule_set(rules, table.layout())
+
+
+def rule_counts(rules, table):
+    """(antecedent, antecedent+consequent, consequent) counts per rule, as
+    int64 arrays in rule order, from the library's counting pass."""
+    return _count_pass(_on_table(rules, table), table)[:3]
+
+
+def data_coverage(rules, table):
+    """Fraction of transactions matched by at least one rule's antecedent."""
+    rules = _on_table(rules, table)
+    covered = _count_pass(rules, table)[3]
+    return covered / table.n_rows if len(rules) else 0.0
+
+
+def _metrics(rule, table):
+    """[support, confidence, rule coverage, zhang] of one rule, from the
+    counting kernel and the metric formula of the library."""
+    return [float(values[0]) for values in rule_metrics(*rule_counts([rule], table), table.n_rows)]
+
+
+def support(rule, table):
+    """Fraction of transactions containing every item of the rule."""
+    return _metrics(rule, table)[0]
+
+
+def confidence(rule, table):
+    """Fraction of antecedent transactions also containing the consequent;
+    0 when the antecedent never occurs."""
+    return _metrics(rule, table)[1]
+
+
+def rule_coverage(rule, table):
+    """Fraction of transactions containing the antecedent."""
+    return _metrics(rule, table)[2]
+
+
+def zhang(rule, table):
+    """Association strength in [-1, 1]: positive for association, 0 for
+    independence, negative for dissociation.
+
+    Computed as (conf(X->Y) - conf(X'->Y)) / max(conf(X->Y), conf(X'->Y))
+    with X' the transactions lacking X. Returns 0 when X covers every row
+    (X' is empty) or when both confidences are 0.
+    """
+    return _metrics(rule, table)[3]
 
 
 def _enumeration_size(table, max_antecedents):
@@ -130,12 +227,6 @@ def count_test_vectors(layout, max_antecedents):
         for k in range(min(cap, len(coeffs) - 1), 0, -1):
             coeffs[k] += coeffs[k - 1] * count
     return sum(coeffs[1:])
-
-
-def rule_coverage(rule, table):
-    """Fraction of transactions containing the antecedent, from the counting
-    kernel."""
-    return float(rule_metrics(*rule_counts([rule], table), table.n_rows)[2][0])
 
 
 def bce_loss(reconstruction, clean_target) -> float:
@@ -345,8 +436,39 @@ def oracle_rules_from_itemsets(itemsets, table, min_confidence, max_antecedents)
     ]
 
 
+def oracle_format_report(report, features):
+    """The text report with its rule rows rendered from the ``Rule`` views."""
+
+    def render(item):
+        feature = features[item.feature]
+        return f"{feature.name}={feature.class_values[item.class_index]}"
+
+    header = (f"{'Rules':>8} {'Support':>9} {'Confidence':>11} {'Coverage':>9} "
+              f"{'Data cov.':>10} {'Zhang':>8}")
+    lines = [
+        header,
+        "-" * len(header),
+        f"{report.rule_count:>8d} {report.mean_support:>9.4f} {report.mean_confidence:>11.4f} "
+        f"{report.mean_coverage:>9.4f} {report.data_coverage:>10.4f} {report.mean_zhang:>8.4f}",
+    ]
+    rules = list(report.per_rule)
+    if rules:
+        lines.append("")
+        lines.append(f"{'support':>9} {'conf':>7} {'cover':>7} {'zhang':>7}  rule")
+        for rule in rules[:MAX_REPORT_RULES]:
+            lhs = ", ".join(render(item) for item in sorted(rule.antecedent))
+            lines.append(
+                f"{rule.support:>9.4f} {rule.confidence:>7.4f} {rule.coverage:>7.4f} "
+                f"{rule.zhang:>7.4f}  {lhs} -> {render(rule.consequent)}"
+            )
+        if report.rule_count > MAX_REPORT_RULES:
+            lines.append(f"... ({report.rule_count - MAX_REPORT_RULES} more)")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_rules_from_json(source, features, name="rules document"):
-    """The rules document read one checked ``Item`` and ``Rule`` at a time."""
+    """The rules document read one checked ``Item`` and ``Rule`` at a time,
+    without its metrics, as the reader takes none."""
     docs = jsondoc.checked(jsondoc.load(source, name), jsondoc.ARRAY, name)
     by_name = {
         f.name: (i, {c: j for j, c in enumerate(f.class_values)})
@@ -368,13 +490,11 @@ def oracle_rules_from_json(source, features, name="rules document"):
                       part)
         jsondoc.entry(doc, "consequent", jsondoc.OBJECT, part)
         try:
-            rules.append(Rule(
-                frozenset(item(d) for d in doc["antecedent"]),
-                item(doc["consequent"]),
-                support=doc.get("support"),
-                confidence=doc.get("confidence"),
-                zhang=doc.get("zhang"),
-            ))
+            rule = Rule(frozenset(item(d) for d in doc["antecedent"]), item(doc["consequent"]))
+            if fault := _shape_fault([i.feature for i in rule.antecedent],
+                                     rule.consequent.feature):
+                raise ValueError(fault)
         except ValueError as exc:  # an unknown item, or items that make no rule
             raise ValueError(f"{part}: {exc}") from None
+        rules.append(rule)
     return rules

@@ -3,7 +3,6 @@ the same rules in the same order, the same metric bits, and the same probe
 vectors."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from oracles import (
     oracle_extract_rules,
     oracle_mine_frequent,
     oracle_rules_from_itemsets,
+    rule_set,
 )
 from test_extract import trained_bijection_net
 from test_quality import kernel_rules, kernel_table
@@ -189,7 +189,7 @@ class TestCountingMatchesOracle:
         for _ in range(25):
             table = kernel_table(rng)
             rules = kernel_rules(rng, table)
-            n_x, n_xy, n_y, covered = _count_pass(RuleSet.from_rules(rules, table.layout()), table)
+            n_x, n_xy, n_y, covered = _count_pass(rule_set(rules, table.layout()), table)
             o_x, o_xy, o_y, o_covered = oracle_count_pass(rules, table)
             assert (n_x.tolist(), n_xy.tolist(), n_y.tolist(), covered) == (
                 o_x.tolist(), o_xy.tolist(), o_y.tolist(), o_covered)
@@ -199,13 +199,14 @@ MEMO_FEATURES = [
     Feature("a", "categorical", ["x", "y"]),
     Feature("b", "categorical", ["z"]),
 ]
-# Float-only columns go through the number memo; mixed ones are rendered one
-# value at a time. Either way -0.0/0.0 and 1/1.0/True must print apart.
+# Equal values that print apart (0.0 and -0.0), values JSON cannot hold
+# exactly, and values shared across columns are each rendered once by bit
+# pattern and must still print as json.dumps prints them.
 MEMO_METRICS = {
     "support": [-0.0, 0.0, 1.0, float("nan"), float("inf"), -0.0],
-    "confidence": [1, 1.0, True, 2**53 + 1, 0.0, -0.0],
+    "confidence": [1.0, 1.0, 1.0, float(2**53 + 1), 0.0, -0.0],
     "zhang": [0.0, -0.0, float("-inf"), 0.0, 1.0, float("nan")],
-    "coverage": [True, 1, 1.0, -0.0, 0.0, 2**53 + 1],
+    "coverage": [1.0, 1.0, 1.0, -0.0, 0.0, float(2**53 + 1)],
 }
 
 
@@ -222,24 +223,8 @@ class TestNumberMemo:
     def test_values_equal_under_eq_are_rendered_apart(self):
         rules = memo_rules()
         docs = [rule_to_doc(r, MEMO_FEATURES) for r in rules]
-        rules = RuleSet.from_rules(rules, GroupLayout.of(MEMO_FEATURES))
+        rules = rule_set(rules, GroupLayout.of(MEMO_FEATURES))
         assert rules_to_json(rules, MEMO_FEATURES) == json.dumps(docs, indent=2, sort_keys=True)
         report = RuleQualityReport(rules, len(rules), 0.0, -0.0, 1, True, 2**53 + 1)
-        expected = json.dumps(report_to_doc(report, MEMO_FEATURES), indent=2, sort_keys=True)
-        assert report_to_json(report, MEMO_FEATURES) == expected
-
-    def test_float_columns_of_a_rule_set(self):
-        rules = memo_rules()
-        layout = GroupLayout((2, 1))
-        floats = {key: np.array([float(v) for v in values])
-                  for key, values in MEMO_METRICS.items()}
-        columns = RuleSet.from_rules(rules, layout)
-        rule_set = RuleSet(columns.antecedents, columns.consequents, layout, **floats)
-        as_list = [replace(r, **{k: floats[k][i].item() for k in ("support", "confidence",
-                                                                   "zhang", "coverage")})
-                   for i, r in enumerate(rules)]
-        docs = [rule_to_doc(r, MEMO_FEATURES) for r in as_list]
-        assert rules_to_json(rule_set, MEMO_FEATURES) == json.dumps(docs, indent=2, sort_keys=True)
-        report = RuleQualityReport(rule_set, len(rules), 0.0, -0.0, 1.0, 0.5, 1.0)
         expected = json.dumps(report_to_doc(report, MEMO_FEATURES), indent=2, sort_keys=True)
         assert report_to_json(report, MEMO_FEATURES) == expected

@@ -15,7 +15,7 @@ from semarm.quality import _popcount
 from semarm.transact import Feature, TransactionTable
 
 from conftest import make_random_table
-from oracles import brute_force_implications
+from oracles import brute_force_implications, rule_set
 from test_quality import oracle_confidence, oracle_support, oracle_zhang
 
 
@@ -221,23 +221,24 @@ class TestCoupledThreshold:
             Rule(frozenset({Item(0, 0)}), Item(1, 0)),
             Rule(frozenset({Item(0, 1)}), Item(1, 1)),
         ]
-        assert coupled_support_threshold(rules, table) == 0.25
+        assert coupled_support_threshold(rule_set(rules, table.layout()), table) == 0.25
 
     def test_single_rule(self):
         table = table_from_rows([[0, 0], [0, 0], [1, 1], [0, 1]])
         rule = Rule(frozenset({Item(0, 0)}), Item(1, 0))
-        assert coupled_support_threshold([rule], table) == 0.25
+        assert coupled_support_threshold(rule_set([rule], table.layout()), table) == 0.25
 
     def test_empty_rule_list_rejected(self):
+        table = table_from_rows([[0, 0]])
         with pytest.raises(ValueError):
-            coupled_support_threshold([], table_from_rows([[0, 0]]))
+            coupled_support_threshold(rule_set([], table.layout()), table)
 
     def test_rules_that_hold_in_no_row_rejected(self):
         # f0=v0 always comes with f1=v0, so f0=v0 -> f1=v1 has support 0
         table = table_from_rows([[0, 0], [1, 1], [0, 0], [1, 1]])
         rule = Rule(frozenset({Item(0, 0)}), Item(1, 1))
         with pytest.raises(ValueError, match=r"hold in no row of the table \(mean support 0\)"):
-            coupled_support_threshold([rule], table)
+            coupled_support_threshold(rule_set([rule], table.layout()), table)
 
     def test_matches_hand_recomputation(self):
         rng = np.random.default_rng(31)
@@ -251,4 +252,4 @@ class TestCoupledThreshold:
             ]
             rules.append(Rule(frozenset(items[:1]), items[1]))
         expected = sum(oracle_support(r, table) for r in rules) / len(rules) / 2
-        assert coupled_support_threshold(rules, table) == expected
+        assert coupled_support_threshold(rule_set(rules, table.layout()), table) == expected

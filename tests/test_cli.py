@@ -168,6 +168,19 @@ def test_intervals_and_depth_out_of_range_are_named_data_errors(small_csv, tmp_p
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_baseline_max_antecedents_below_one_is_named_data_error(small_csv, tmp_path, capsys,
+                                                                value, source):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max-antecedents": value}))
+    given = ["--max-antecedents", value] if source == "flag" else ["--config", config]
+    assert run("baseline", "--sensors", small_csv, "--out", tmp_path / "run",
+               "--min-support", 0.5, *given) == 3
+    assert "--max-antecedents must be at least 1" in single_data_error(capsys)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--seed", -1],
     ["train", "--epochs", 1, "--seed", -1],
@@ -688,6 +701,37 @@ class TestBaselineRelations:
         assert all(doc in remaining for doc in strict)
 
 
+class TestLineOrder:
+    def test_permuting_the_data_lines_changes_no_output(self, tmp_path):
+        """A sensor CSV is a set of readings: ``train``, ``mine`` and
+        ``baseline`` on a permutation of its data lines write the same bytes,
+        apart from the timing values of the reports."""
+        data = tmp_path / "data"
+        assert run("synth", "--out", data, "--rows", 120, "--features", 4, "--classes", 3,
+                   "--seed", 3, "--noise-rate", 0.1, "--planted", NOISY_PLANTED) == 0
+        header, *lines = (data / "sensors.csv").read_text().splitlines(keepends=True)
+        outputs = []
+        for seed in (None, 1, 2, 3):
+            order = np.arange(len(lines))
+            if seed is not None:
+                order = np.random.default_rng(seed).permutation(order)
+            sensors, out = tmp_path / f"sensors-{seed}.csv", tmp_path / f"run-{seed}"
+            sensors.write_text(header + "".join(lines[i] for i in order))
+            ingest = ["--sensors", sensors, "--graph", data / "graph.json", "--enrich",
+                      "--depth", 1, "--out", out]
+            assert run("train", *ingest, "--seed", 2, "--epochs", 2) == 0
+            assert run("mine", *ingest, "--model", out / "model.json") == 0
+            assert run("baseline", *ingest, "--min-support", 0.05) == 0
+            names = ("model.json", "rules.json", "report.json", "report.txt",
+                     "baseline_rules.json", "baseline_report.json", "baseline_report.txt")
+            texts = {name: (out / name).read_text() for name in names}
+            for name in ("report.json", "baseline_report.json"):
+                texts[name] = re.sub(r'("\w+_seconds": )[-+.\deE]+', r"\1", texts[name])
+            outputs.append(texts)
+        assert json.loads(outputs[0]["rules.json"]) and json.loads(outputs[0]["baseline_rules.json"])
+        assert all(texts == outputs[0] for texts in outputs[1:])
+
+
 class TestOutputBytes:
     def test_rules_and_reports_are_json_dumps_of_their_documents(self, tmp_path):
         """Each rules and report file holds exactly the bytes of
@@ -717,12 +761,11 @@ class TestOutputBytes:
         )
         for rules_name, report_name, extra_keys in outputs:
             rules_text = (out / rules_name).read_text()
-            rules = rules_from_json(rules_text, features)
-            assert rules_text == reference([rule_to_doc(r, features) for r in rules])
+            report = quality.evaluate(rules_from_json(rules_text, features), table)
+            assert rules_text == reference([rule_to_doc(r, features) for r in report.per_rule])
             report_text = (out / report_name).read_text()
             written = json.loads(report_text)
             extra = {key: written[key] for key in extra_keys}
-            report = quality.evaluate(rules, table)
             assert report.rule_count > 0
             assert report_text == reference({**quality.report_to_doc(report, features), **extra})
 

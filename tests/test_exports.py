@@ -14,14 +14,10 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(semarm.__path__))
 
 # Exported names that no code in src/semarm uses, each with why it stays.
 UNUSED_EXPORTS = {
-    "quality.support": "acceptance criterion 05 holds it to its row-scan oracle",
-    "quality.confidence": "acceptance criterion 05 holds it to its row-scan oracle",
-    "quality.zhang": "acceptance criterion 05 holds it to its row-scan oracle",
-    "quality.data_coverage": "acceptance criterion 05 holds it to its row-scan oracle",
     "quality.REPORT_SCHEMA": "the published JSON schema of report.json",
     "quality.annotate_rules": "perfbench/tracing.py wraps it by name until the stage log lands",
     "quality.report_to_doc": "perfbench/tracing.py wraps it by name until the stage log lands",
-    "graph.validate_schema": "the planned stage counters call it (ROADMAP item 7)",
+    "graph.validate_schema": "the planned graph.schema_violations counter calls it (ROADMAP item 2)",
 }
 
 

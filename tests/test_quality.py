@@ -7,25 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semarm.extract import Item, Rule, RuleSet, rules_from_json
+from semarm.extract import Item, Rule, rules_from_json
 from semarm.quality import (
     REPORT_SCHEMA,
     RuleQualityReport,
     annotate_rules,
-    confidence,
-    data_coverage,
     evaluate,
     format_report,
     report_to_doc,
     report_to_json,
-    rule_counts,
-    support,
-    zhang,
 )
 from semarm.transact import Feature, GroupLayout, TransactionTable
 
-from conftest import JSON_NUMBERS, JSON_TEXT, make_random_table, rule_lists
-from oracles import rule_coverage
+from conftest import JSON_NUMBERS, JSON_TEXT, METRIC_VALUES, make_random_table, rule_lists
+from oracles import (
+    confidence,
+    data_coverage,
+    oracle_format_report,
+    rule_counts,
+    rule_coverage,
+    rule_set,
+    support,
+    zhang,
+)
 
 
 # --- independent row-scan oracles: pure-python loops over rendered rows ---
@@ -105,6 +109,11 @@ def random_rule(rng, table):
         for f in feats
     ]
     return Rule(frozenset(items[:-1]), items[-1])
+
+
+def evaluate_rules(rules, table):
+    """``evaluate`` of a list of ``Rule``s."""
+    return evaluate(rule_set(rules, table.layout()), table)
 
 
 def table_from_rows(rows):
@@ -238,23 +247,14 @@ class TestReport:
     def test_evaluate_aggregates(self):
         table = table_from_rows([[0, 0], [0, 0], [1, 1], [1, 1]])
         rules = [RULE, Rule(frozenset({Item(0, 1)}), Item(1, 1))]
-        report = evaluate(rules, table)
+        report = evaluate_rules(rules, table)
         assert report.rule_count == 2
         assert report.mean_support == 0.5
         assert report.mean_confidence == 1.0
         assert report.data_coverage == 1.0
 
-    def test_evaluate_accepts_a_one_pass_iterable(self):
-        table = table_from_rows([[0, 0], [0, 1], [1, 0]])
-        rules = [RULE, Rule(frozenset({Item(1, 0)}), Item(0, 0))]
-        from_list = evaluate(rules, table)
-        from_iter = evaluate(iter(rules), table)
-        assert from_list.data_coverage == 1.0
-        assert from_iter.data_coverage == from_list.data_coverage
-        assert from_iter.rule_count == 2
-
     def test_empty_report_is_valid(self):
-        report = evaluate([], table_from_rows([[0, 0]]))
+        report = evaluate_rules([], table_from_rows([[0, 0]]))
         assert report.rule_count == 0
         assert report.mean_support == 0.0
         assert report.data_coverage == 0.0
@@ -265,21 +265,54 @@ class TestReport:
         rng = np.random.default_rng(41)
         table = make_random_table(rng)
         rules = [random_rule(rng, table) for _ in range(4)]
-        doc = report_to_doc(evaluate(rules, table), table.features)
+        doc = report_to_doc(evaluate_rules(rules, table), table.features)
         jsonschema.validate(doc, REPORT_SCHEMA)
 
     def test_annotate_rules_attaches_measurements(self):
         table = table_from_rows([[0, 0], [0, 0], [1, 1], [1, 1]])
-        annotated = annotate_rules([RULE], table)
-        assert annotated[0].support == 0.5
-        assert annotated[0].confidence == 1.0
-        assert annotated[0].zhang == 1.0
+        annotated = annotate_rules(rule_set([RULE], table.layout()), table)
+        assert annotated.support.tolist() == [0.5]
+        assert annotated.confidence.tolist() == [1.0]
+        assert annotated.zhang.tolist() == [1.0]
 
     def test_format_report_lists_rules(self):
         table = table_from_rows([[0, 0], [0, 1]])
-        text = format_report(evaluate([RULE], table), table.features)
+        text = format_report(evaluate_rules([RULE], table), table.features)
         assert "f0=v0 -> f1=v0" in text
         assert "Data cov." in text
+
+
+# names that the text report prints as they are: separators of its own
+# layout, and non-ASCII text
+ODD_NAMES = st.text(st.sampled_from("ab,=é漢 >-"), min_size=1, max_size=4)
+
+
+@st.composite
+def evaluated_reports(draw):
+    """(report, features): the evaluated report of 0, 1, 50 or more than 50
+    random rules over a random table whose features may have one class."""
+    names = draw(st.lists(ODD_NAMES, min_size=2, max_size=5, unique=True))
+    classes = st.lists(ODD_NAMES, min_size=1, max_size=3, unique=True)
+    features = [Feature(name, "categorical", draw(classes)) for name in names]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = int(rng.integers(1, 41))
+    table = TransactionTable(features, np.column_stack(
+        [rng.integers(0, len(f.class_values), n_rows) for f in features]))
+    rules = []
+    for _ in range(draw(st.sampled_from([0, 1, 50, 51, 64]))):
+        chosen = rng.permutation(len(features))[: int(rng.integers(2, len(features) + 1))]
+        items = [Item(int(f), int(rng.integers(0, len(features[f].class_values))))
+                 for f in chosen]
+        rules.append(Rule(frozenset(items[1:]), items[0]))
+    return evaluate_rules(rules, table), features
+
+
+class TestTextReport:
+    @given(evaluated_reports())
+    @settings(max_examples=60, deadline=None)
+    def test_preview_equals_the_rendering_of_the_rule_views(self, drawn):
+        report, features = drawn
+        assert format_report(report, features) == oracle_format_report(report, features)
 
 
 class TestMeanOrder:
@@ -288,7 +321,7 @@ class TestMeanOrder:
         # pairwise sum differ in the last bit, and the report uses the former
         table = table_from_rows([[row, 0] for row in range(10)])
         rules = [Rule(frozenset({Item(0, row)}), Item(1, 0)) for row in range(10)]
-        report = evaluate(rules, table)
+        report = evaluate_rules(rules, table)
         supports = [rule.support for rule in report.per_rule]
         assert sum(supports) != float(np.sum(supports))
         assert report.mean_support == sum(supports) / 10
@@ -346,14 +379,14 @@ class TestCountingKernel:
     def test_empty_rule_list(self):
         table = kernel_table(np.random.default_rng(47))
         assert [a.tolist() for a in rule_counts([], table)] == [[], [], []]
-        assert evaluate([], table).data_coverage == 0.0
+        assert evaluate_rules([], table).data_coverage == 0.0
 
     def test_evaluate_equals_scalar_metrics(self):
         rng = np.random.default_rng(53)
         for _ in range(60):
             table = kernel_table(rng)
             rules = kernel_rules(rng, table)
-            report = evaluate(rules, table)
+            report = evaluate_rules(rules, table)
             columns = {"support": [], "confidence": [], "coverage": [], "zhang": []}
             for measured, rule in zip(report.per_rule, rules):
                 expected = {
@@ -401,7 +434,9 @@ class TestKernelGuards:
         table = two_feature_table(4)
         named = r"rule item Item\(.*outside the table"
         for rule in (Rule(frozenset({item}), Item(1, 0)), Rule(frozenset({Item(1, 0)}), item)):
-            for measure in (evaluate, data_coverage):
+            with pytest.raises(ValueError, match=named):
+                rule_set([rule], table.layout())
+            for measure in (data_coverage, rule_counts):
                 with pytest.raises(ValueError, match=named):
                     measure([rule], table)
             for measure in SCALAR_METRICS:
@@ -424,7 +459,7 @@ class TestKernelGuards:
             warnings.simplefilter("error")
             for measure in (evaluate, data_coverage, rule_counts):
                 with pytest.raises(ValueError, match="no rows"):
-                    measure([RULE], table)
+                    measure(rule_set([RULE], table.layout()), table)
             for measure in SCALAR_METRICS:
                 with pytest.raises(ValueError, match="no rows"):
                     measure(RULE, table)
@@ -434,7 +469,10 @@ class TestKernelGuards:
         table = two_feature_table(n_rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert evaluate([], table) == RuleQualityReport([], 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+            report = evaluate(rule_set([], table.layout()), table)
+            assert len(report.per_rule) == 0
+            assert replace(report, per_rule=None) == RuleQualityReport(None, 0, 0.0, 0.0, 0.0,
+                                                                       0.0, 0.0)
             assert data_coverage([], table) == 0.0
             assert [a.tolist() for a in rule_counts([], table)] == [[], [], []]
 
@@ -445,8 +483,8 @@ def reports(draw):
     metrics, and extra top-level keys like the CLI's."""
     features, rules = draw(rule_lists())
     keys = ("support", "confidence", "zhang", "coverage")
-    per_rule = [replace(rule, **{key: draw(JSON_NUMBERS) for key in keys}) for rule in rules]
-    per_rule = RuleSet.from_rules(per_rule, GroupLayout.of(features))
+    per_rule = [replace(rule, **{key: draw(METRIC_VALUES) for key in keys}) for rule in rules]
+    per_rule = rule_set(per_rule, GroupLayout.of(features))
     report = RuleQualityReport(per_rule, len(per_rule), *(draw(JSON_NUMBERS) for _ in range(5)))
     extra = draw(st.fixed_dictionaries({}, optional={
         "min_support": JSON_NUMBERS,
@@ -471,14 +509,14 @@ class TestReportJsonWriter:
         rng = np.random.default_rng(59)
         for _ in range(20):
             table = kernel_table(rng)
-            report = evaluate(kernel_rules(rng, table), table)
+            report = evaluate_rules(kernel_rules(rng, table), table)
             extra = {"min_support": 0.05, "timings": {"mine_seconds": 0.25}}
             expected = json.dumps({**report_to_doc(report, table.features), **extra},
                                   indent=2, sort_keys=True)
             assert report_to_json(report, table.features, **extra) == expected
 
     def test_extra_keys_override_as_in_a_dict_merge(self):
-        report = evaluate([], table_from_rows([[0, 0]]))
+        report = evaluate_rules([], table_from_rows([[0, 0]]))
         expected = json.dumps({**report_to_doc(report, []), "rules": {"a": [1]}, "rule_count": -1},
                               indent=2, sort_keys=True)
         assert report_to_json(report, [], rules={"a": [1]}, rule_count=-1) == expected
