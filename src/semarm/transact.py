@@ -7,7 +7,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate, compress, count
+from itertools import accumulate, count
 from types import MappingProxyType
 
 import numpy as np
@@ -232,20 +232,14 @@ def _load_columns(data: bytes) -> SensorSeries:
         stamps = np.fromiter(map(float, stamps), np.float64, len(stamps))
     except ValueError:  # ISO-8601, or a timestamp that the check below refuses
         stamps = np.array([_timestamp_or_nan(t) for t in stamps], np.float64)
-    # float refuses a leading quote: a value with a field that starts with one is a state
-    quoted = np.zeros(len(raws), bool)
-    quoted[value_of[np.frombuffer(padded, np.uint8)[second + 1] == ord('"')]] = True
-    states = {i: _parse_value(raws[i]) for i in np.flatnonzero(quoted).tolist()}
-    plain = np.flatnonzero(~quoted)
-    numbers, rest = [], compress(raws, (~quoted).tolist())
-    while len(numbers) < len(plain):  # one map(float, ...), resumed past each value it refuses
+    numbers, states, rest = [], {}, iter(raws)
+    while len(numbers) < len(raws):  # one map(float, ...), resumed past each value it refuses
         try:
             numbers.extend(map(float, rest))
         except ValueError:  # a state: its text, by index
-            states[int(plain[len(numbers)])] = _parse_value(raws[plain[len(numbers)]])
+            states[len(numbers)] = _parse_value(raws[len(numbers)])
             numbers.append(0.0)
-    floats = np.zeros(len(raws))
-    floats[plain] = numbers
+    floats = np.array(numbers, np.float64)
     _, moment = np.unique(stamps, return_inverse=True)  # as dict keys, -0.0 == 0.0
     keys = moment[stamp_of] * len(names) + name_of
     unique = np.diff(np.sort(keys)).all()
@@ -449,13 +443,6 @@ class GroupLayout:
     @property
     def offsets(self) -> tuple[int, ...]:
         return self._offsets  # type: ignore[attr-defined]
-
-    def slot(self, feature: int, class_index: int) -> int:
-        if not 0 <= feature < len(self.class_counts):
-            raise IndexError(f"feature {feature} out of range")
-        if not 0 <= class_index < self.class_counts[feature]:
-            raise IndexError(f"class {class_index} out of range for feature {feature}")
-        return self.offsets[feature] + class_index
 
 
 @dataclass

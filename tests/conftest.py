@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from semarm.extract import Item, Rule
 from semarm.transact import Feature, TransactionTable
 
+from oracles import slot
+
 WATER_GRAPH = {
     "ontology": {
         "classes": ["Pipe", "Junction"],
@@ -55,7 +57,7 @@ def expected_one_hot(table: TransactionTable) -> np.ndarray:
     expected = np.zeros((table.n_rows, layout.width))
     for r, row in enumerate(table.rows.tolist()):
         for feature, class_index in enumerate(row):
-            expected[r, layout.slot(feature, class_index)] = 1.0
+            expected[r, slot(layout, feature, class_index)] = 1.0
     return expected
 
 

@@ -2,8 +2,9 @@
 
 The functions before the ``oracle_*`` ones are entry points that no command
 runs, so they live here rather than in ``src/``; tests use them as references
-or fixtures: a layout's slice of one feature, a list of ``Rule``s as a
-``RuleSet`` (``rule_set``, the one way tests build rules as columns), the
+or fixtures: a layout's slice of one feature and slot of one class, a list
+of ``Rule``s as a ``RuleSet`` (``rule_set``, the one way tests build rules as
+columns), the
 metrics of one rule or a rule list (``support``, ``confidence``,
 ``rule_coverage``, ``zhang``, ``data_coverage``, ``rule_counts``: views over
 the library's counting kernel, so row-scan oracles test that kernel), the
@@ -56,6 +57,16 @@ def group_slice(layout, feature):
     return slice(start, start + layout.class_counts[feature])
 
 
+def slot(layout, feature, class_index):
+    """The slot of ``feature``'s class ``class_index`` in ``layout``;
+    IndexError for a feature or class outside it."""
+    if not 0 <= feature < len(layout.class_counts):
+        raise IndexError(f"feature {feature} out of range")
+    if not 0 <= class_index < layout.class_counts[feature]:
+        raise IndexError(f"class {class_index} out of range for feature {feature}")
+    return layout.offsets[feature] + class_index
+
+
 def rule_set(rules, layout):
     """``rules``, ``Rule``s in order, as a RuleSet on ``layout``. A metric is
     a float64 column when every rule has a float for it, and absent when no
@@ -64,9 +75,9 @@ def rule_set(rules, layout):
     antecedent), an item outside the layout, or a metric some rules lack."""
     rules = list(rules)
 
-    def slot(item):
+    def item_slot(item):
         try:
-            return layout.slot(item.feature, item.class_index)
+            return slot(layout, item.feature, item.class_index)
         except IndexError:
             raise ValueError(f"rule item {item} is outside the table's layout") from None
 
@@ -74,11 +85,11 @@ def rule_set(rules, layout):
     for rule in rules:
         if fault := _shape_fault([i.feature for i in rule.antecedent], rule.consequent.feature):
             raise ValueError(fault)
-        rows.append(sorted(map(slot, rule.antecedent)))
+        rows.append(sorted(map(item_slot, rule.antecedent)))
     width = max(map(len, rows), default=1)
     antecedents = np.array([row + [layout.width] * (width - len(row)) for row in rows],
                            dtype=np.int64).reshape(len(rows), width)
-    consequents = np.array([slot(rule.consequent) for rule in rules], dtype=np.int64)
+    consequents = np.array([item_slot(rule.consequent) for rule in rules], dtype=np.int64)
     columns = {}
     for key in _METRICS:
         values = [getattr(rule, key) for rule in rules]
@@ -317,7 +328,7 @@ def oracle_test_vectors(layout, subset):
         items = []
         for feat, cls in zip(subset, classes):
             vec[group_slice(layout, feat)] = 0.0
-            vec[layout.slot(feat, cls)] = 1.0
+            vec[slot(layout, feat, cls)] = 1.0
             items.append(Item(feat, cls))
         vectors.append((vec, tuple(items)))
     return vectors
@@ -338,7 +349,7 @@ def oracle_extract_rules(net, config):
             marked_set = set(subset)
             for vector, items in oracle_test_vectors(layout, subset):
                 out = net.forward(vector)
-                if any(out[layout.slot(it.feature, it.class_index)] < tau for it in items):
+                if any(out[slot(layout, it.feature, it.class_index)] < tau for it in items):
                     continue
                 antecedent = frozenset(items)
                 for feat in range(n_features):
@@ -398,10 +409,10 @@ def oracle_count_pass(rules, table):
     layout = table.layout()
     bits = _slot_bits(table)
 
-    def slot(item):
-        return layout.slot(item.feature, item.class_index)
+    def item_slot(item):
+        return slot(layout, item.feature, item.class_index)
 
-    consequent_slots = np.array([slot(r.consequent) for r in rules], dtype=np.int64)
+    consequent_slots = np.array([item_slot(r.consequent) for r in rules], dtype=np.int64)
     groups = {}
     for i, rule in enumerate(rules):
         groups.setdefault(rule.antecedent, []).append(i)
@@ -409,7 +420,7 @@ def oracle_count_pass(rules, table):
     n_xy = np.zeros(len(rules), dtype=np.int64)
     covered = np.zeros(bits.shape[1], dtype=np.uint64)
     for antecedent, members in groups.items():
-        x_bits = np.bitwise_and.reduce(bits[[slot(item) for item in antecedent]], axis=0)
+        x_bits = np.bitwise_and.reduce(bits[[item_slot(item) for item in antecedent]], axis=0)
         covered |= x_bits
         n_x[members] = _popcount(x_bits)
         n_xy[members] = _popcount(bits[consequent_slots[members]] & x_bits)

@@ -34,7 +34,7 @@ from semarm.transact import (
 )
 
 from conftest import WATER_GRAPH, expected_one_hot, make_random_table
-from oracles import group_slice
+from oracles import group_slice, slot
 
 
 def oracle_from_readings(readings) -> SensorSeries:
@@ -338,9 +338,9 @@ class TestOneHot:
         layout = GroupLayout((2, 3, 4))
         assert layout.width == 9
         assert layout.offsets == (0, 2, 5)
-        assert layout.slot(1, 2) == 4
+        assert slot(layout, 1, 2) == 4
         with pytest.raises(IndexError):
-            layout.slot(0, 2)
+            slot(layout, 0, 2)
 
     def test_layout_of_features_is_the_table_layout(self):
         rng = np.random.default_rng(9)
