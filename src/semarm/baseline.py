@@ -9,7 +9,9 @@ Each level of itemsets is a lexicographically sorted matrix of one-hot slots
 with its row counts. Candidates are joined by shared prefix, pruned by
 downward closure and counted on per-item row bitsets (Zaki's ECLAT, TKDE
 2000); every rule reads its counts from the itemsets' counts (Agrawal &
-Srikant, VLDB 1994), with no pass over the table.
+Srikant, VLDB 1994), with no pass over the table. The command's report keeps
+those metrics (``quality.evaluate(..., measured=True)``) and counts only the
+rows that the rules' distinct antecedents cover.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extract import Item, RuleSet, _row_keys, _slot_features, _slot_items
-from .quality import _CHUNK, _popcount, _slot_bits, evaluate, rule_metrics
+from .quality import _CHUNK, _and_rows, _popcount, _slot_bits, evaluate, rule_metrics
 from .transact import GroupLayout, TransactionTable
 
 __all__ = [
@@ -106,8 +108,8 @@ def mine_frequent(
     while True:
         counts = np.zeros(len(candidates), dtype=np.int64)
         for start in range(0, len(candidates), _CHUNK):
-            rows_bits = bits[candidates[start : start + _CHUNK]]
-            counts[start : start + _CHUNK] = _popcount(np.bitwise_and.reduce(rows_bits, axis=1))
+            step = slice(start, start + _CHUNK)
+            counts[step] = _popcount(_and_rows(bits, candidates[step]))
         frequent = counts / n >= min_support
         rows = candidates[frequent]
         levels.append((rows, counts[frequent]))
@@ -151,8 +153,9 @@ def rules_from_itemsets(
             np.repeat(counts, size),
             levels[0][1][_row_index(levels[0][0], slots.reshape(-1, 1))],
         ))
-    if not parts:
-        return RuleSet(np.empty((0, 1), np.int64), np.empty(0, np.int64), layout)
+    if not parts:  # no rules, still carrying their (empty) metric columns
+        none = np.empty(0, np.int64)
+        parts = [(np.empty((0, 1), np.int64), none, none, none, none)]
     antecedents, consequents, n_x, n_xy, n_y = map(np.concatenate, zip(*parts))
     support, confidence, coverage, zhang = rule_metrics(n_x, n_xy, n_y, table.n_rows)
     rules = RuleSet(antecedents, consequents, layout, support, confidence, zhang, coverage)

@@ -16,7 +16,7 @@ import sys
 import time
 import zipfile
 from dataclasses import asdict, fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -166,13 +166,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_text(path: Path, *parts: str):
+def _write_text(path: Path, chunks):
+    """Write an iterable of strings to ``path``, each chunk as it comes."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, doc):
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True), "\n")
+    _write_text(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
 
 
 def _read_json(path, name: str):
@@ -182,12 +183,12 @@ def _read_json(path, name: str):
 
 def _write_outputs(out: Path, prefix: str, report, features, **extra):
     """One route's rules, report (``extra`` as top-level keys) and text report,
-    each from the report's measured rules."""
+    each from the report's measured rules and streamed to its file."""
     rules_json = extract.rules_to_json(report.per_rule, features)
-    _write_text(out / f"{prefix}rules.json", rules_json, "\n")
+    _write_text(out / f"{prefix}rules.json", chain(rules_json, ["\n"]))
     report_json = quality.report_to_json(report, features, **extra)
-    _write_text(out / f"{prefix}report.json", report_json, "\n")
-    _write_text(out / f"{prefix}report.txt", quality.format_report(report, features))
+    _write_text(out / f"{prefix}report.json", chain(report_json, ["\n"]))
+    _write_text(out / f"{prefix}report.txt", [quality.format_report(report, features)])
 
 
 def _sample_sensor_walk(graph, binding, count: int, seed: int) -> list[str]:
@@ -363,6 +364,11 @@ def _rebuild_from_manifest(args, manifest):
 
 
 def cmd_mine(args) -> int:
+    # a flag or a config file value, refused before anything is read or built
+    if args.similarity_threshold is not None and not 0.0 < args.similarity_threshold <= 1.0:
+        raise ValueError("--similarity-threshold must be in (0, 1]")
+    if args.max_antecedents is not None and args.max_antecedents < 1:
+        raise ValueError("--max-antecedents must be at least 1")
     model_path = Path(_required(args.model, "--model"))
     manifest = _read_json(args.manifest or model_path.parent / "manifest.json", "manifest")
     net = autonet.load_model(model_path)
@@ -398,6 +404,10 @@ def cmd_baseline(args) -> int:
         raise UsageError("baseline needs exactly one of --min-support and --rules")
     if args.max_antecedents < 1:
         raise ValueError("--max-antecedents must be at least 1")
+    if not 0.0 <= args.min_confidence <= 1.0:
+        raise ValueError("--min-confidence must be in [0, 1]")
+    if args.min_support is not None and not 0.0 < args.min_support <= 1.0:
+        raise ValueError("--min-support must be in (0, 1]")
     table, _ = _build_table(args)
     min_support = args.min_support
     if args.rules is not None:
@@ -413,7 +423,7 @@ def cmd_baseline(args) -> int:
     itemsets = baseline.mine_frequent(table, min_support, max_size=args.max_antecedents + 1)
     rules = baseline.rules_from_itemsets(itemsets, table, args.min_confidence, args.max_antecedents)
     mine_seconds = time.perf_counter() - started
-    report = quality.evaluate(rules, table)
+    report = quality.evaluate(rules, table, measured=True)  # metrics from the itemset counts
 
     out = _out_dir(args)
     _write_outputs(out, "baseline_", report, table.features,
@@ -469,7 +479,7 @@ def cmd_compare(args) -> int:
     text = "\n".join(lines) + "\n"
 
     out = _out_dir(args)
-    _write_text(out / "compare.txt", text)
+    _write_text(out / "compare.txt", [text])
     _write_json(
         out / "compare.json",
         {"left": left, "right": right,

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain, combinations, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -117,9 +119,11 @@ class RuleSet:
                        consequents=self.consequents[index],
                        **{key: None if c is None else c[index] for key, c in metrics.items()})
 
+    @cached_property
     def antecedent_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """(distinct, which): the distinct antecedent rows in lexicographic
-        order, and the index of each rule's row in ``distinct``."""
+        order, and the index of each rule's row in ``distinct``; found once
+        per RuleSet, however many of the count pass and the writers read it."""
         _, first, which = np.unique(_row_keys(self.antecedents), return_index=True,
                                     return_inverse=True)
         return self.antecedents[first], which
@@ -244,38 +248,48 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _pick(texts: list[str], index: np.ndarray) -> list[str]:
-    """``texts[i]`` for every i of ``index``, as a list."""
-    return np.array(texts, dtype=object)[index].tolist()
-
-
-def _metric_fields(rules: RuleSet, keys, sep: str) -> dict[str, list[str]]:
-    """For each metric in ``keys`` that the rules carry, every rule's
-    ``<sep>"<key>": <value>`` text. Each distinct bit pattern renders once, so
-    values that compare equal but print apart (0.0 and -0.0) are never
-    merged."""
+def _metric_fields(rules: RuleSet, keys, sep: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """For each metric in ``keys`` that the rules carry, its distinct
+    ``<sep>"<key>": <value>`` texts and the index of each rule's text. Each
+    distinct bit pattern renders once, so values that compare equal but print
+    apart (0.0 and -0.0) are never merged."""
     present = [key for key in keys if getattr(rules, key) is not None]
     if not present:
         return {}
     bits = np.concatenate([getattr(rules, key).view(np.int64) for key in present])
     distinct, which = np.unique(bits, return_inverse=True)
     texts = [_json_scalar(value) for value in distinct.view(np.float64).tolist()]
-    return {key: _pick([f'{sep}"{key}": {text}' for text in texts], rows)
+    return {key: (_texts([f'{sep}"{key}": {text}' for text in texts]), rows)
             for key, rows in zip(present, np.split(which, len(present)))}
 
 
-def rules_array_json(rules: RuleSet, features: list[Feature], keys, depth: int = 0) -> str:
-    """JSON array of rule documents, byte for byte as
-    ``json.dumps(docs, indent=2, sort_keys=True)`` writes it when the array
-    sits ``depth`` levels deep in an enclosing document.
+def _texts(texts: list[str]) -> np.ndarray:
+    """``texts`` as an object array, for picking by index arrays."""
+    return np.array(texts, dtype=object)
+
+
+# The most fragments a streamed document joins into one chunk: enough that
+# writing a chunk costs little more than its bytes, few enough that no chunk
+# holds more than a sliver of a large document.
+_CHUNK_FRAGMENTS = 4096
+
+
+def rules_array_json(rules: RuleSet, features: list[Feature], keys,
+                     depth: int = 0) -> Iterator[str]:
+    """JSON array of rule documents, as chunks of at most ``_CHUNK_FRAGMENTS``
+    fragments that join to the bytes ``json.dumps(docs, indent=2,
+    sort_keys=True)`` writes when the array sits ``depth`` levels deep in an
+    enclosing document.
 
     Each document holds a rule's items and the metrics named in ``keys``
     that the rules carry, as ``rule_to_doc`` writes them. Every item,
     every distinct antecedent row and every distinct number is rendered
-    once, and the documents are these fragments joined column by column.
+    once, and each chunk's documents are these fragments joined column by
+    column.
     """
     if not len(rules):
-        return "[]"
+        yield "[]"
+        return
     pad = ["\n" + "  " * (depth + level) for level in range(5)]
     sep = "," + pad[2]
 
@@ -287,35 +301,41 @@ def rules_array_json(rules: RuleSet, features: list[Feature], keys, depth: int =
             for value in feature.class_values
         ]
 
-    elements = items(pad[4], pad[3])
-    consequents = [f'{sep}"consequent": {text}' for text in items(pad[3], pad[2])]
-    distinct, which = rules.antecedent_groups()
-    antecedents = [
+    elements, width = items(pad[4], pad[3]), rules.layout.width
+    consequents = _texts([f'{sep}"consequent": {text}' for text in items(pad[3], pad[2])])
+    distinct, which = rules.antecedent_groups
+    antecedents = _texts([
         f'{{{pad[2]}"antecedent": [{pad[3]}'
-        + ("," + pad[3]).join(elements[s] for s in row if s != rules.layout.width)
+        + ("," + pad[3]).join(elements[s] for s in row if s != width)
         + f"{pad[2]}]"
         for row in distinct.tolist()
-    ]
+    ])
     fields = _metric_fields(rules, keys, sep)
-    fields["antecedent"] = _pick(antecedents, which)
-    fields["consequent"] = _pick(consequents, rules.consequents)
+    fields["antecedent"] = (antecedents, which)
+    fields["consequent"] = (consequents, rules.consequents)
     # "antecedent" sorts first, so every other field carries its separator;
-    # the last column closes each document and opens the next
+    # the closing fragment ends each document and opens the next
     columns = [fields[key] for key in sorted(fields)]
-    columns.append([f"{pad[1]}}},{pad[1]}"] * len(rules))
-    flat = [""] * (len(rules) * len(columns))
-    for j, column in enumerate(columns):
-        flat[j :: len(columns)] = column
-    flat[0] = "[" + pad[1] + flat[0]
-    flat[-1] = pad[1] + "}" + pad[0] + "]"
-    return "".join(flat)
+    stride, close = len(columns) + 1, f"{pad[1]}}},{pad[1]}"
+    step = _CHUNK_FRAGMENTS // stride
+    for start in range(0, len(rules), step):
+        stop = min(start + step, len(rules))
+        flat = [close] * ((stop - start) * stride)
+        for j, (texts, index) in enumerate(columns):
+            flat[j::stride] = texts[index[start:stop]].tolist()
+        if start == 0:
+            flat[0] = "[" + pad[1] + flat[0]
+        if stop == len(rules):
+            flat[-1] = pad[1] + "}" + pad[0] + "]"
+        yield "".join(flat)
 
 
-def rules_to_json(rules: RuleSet, features: list[Feature]) -> str:
-    """Serialize a RuleSet as a JSON array; deterministic for identical inputs.
+def rules_to_json(rules: RuleSet, features: list[Feature]) -> Iterator[str]:
+    """Serialize a RuleSet as a JSON array, streamed as the chunks of
+    ``rules_array_json``; deterministic for identical inputs.
 
-    The bytes are those of ``json.dumps([rule_to_doc(r, features) for r in
-    rules], indent=2, sort_keys=True)``.
+    The chunks join to the bytes of ``json.dumps([rule_to_doc(r, features)
+    for r in rules], indent=2, sort_keys=True)``.
     """
     return rules_array_json(rules, features, _DOC_METRICS)
 

@@ -6,19 +6,23 @@ independent row-scan recomputations agree bit-for-bit. ``evaluate`` is the one
 counting pass a command makes over its rules: it counts a whole ``RuleSet`` on
 per-item row bitsets (the vertical layout of ECLAT), one bitset per distinct
 antecedent row, and ``rule_metrics`` is the one place the metrics are computed
-from counts. The row-scan references they are tested against, and the
-one-rule views over this kernel, are in ``tests/test_quality.py`` and
-``tests/oracles.py``.
+from counts. Rules the baseline miner derived already carry the metrics of
+their itemset counts, so for them ``evaluate`` counts only the rows their
+distinct antecedents cover. ``report_to_json`` streams the report document in
+chunks, as ``extract.rules_to_json`` does the rules document. The row-scan
+references they are tested against, and the one-rule views over this kernel,
+are in ``tests/test_quality.py`` and ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .extract import RuleSet, rule_to_doc, rules_array_json
+from .extract import _METRICS, RuleSet, rule_to_doc, rules_array_json
 from .transact import Feature, TransactionTable
 
 __all__ = [
@@ -71,16 +75,16 @@ def _slot_bits(table: TransactionTable) -> np.ndarray:
 _CHUNK = 256
 
 
-def _count_pass(rules: RuleSet, table: TransactionTable):
-    """Per-rule (n_x, n_xy, n_y) int64 arrays, plus the number of rows that
-    match at least one antecedent.
+def _and_rows(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The row bitset of each row of slots: the AND of its slots' bitsets."""
+    return np.bitwise_and.reduce(bits[rows], axis=1)
 
-    Rules are grouped by antecedent row; each group's row bitset is the AND
-    of its slots' bitsets (the padding slot holds every row), built once per
-    step and intersected with every consequent of the group. Raises
-    ValueError for rules on another layout than the table's, or on a table
-    with no rows.
-    """
+
+def _padded_bits(rules: RuleSet, table: TransactionTable) -> tuple[np.ndarray, np.ndarray]:
+    """(slot_bits, bits): the table's slot bitsets, and the same with the
+    padding slot of antecedent rows, which holds every row, appended.
+    Raises ValueError for rules on another layout than the table's, or on
+    a table with no rows."""
     layout = table.layout()
     if rules.layout != layout:
         raise ValueError(f"rules are on layout {rules.layout.class_counts}, "
@@ -88,8 +92,19 @@ def _count_pass(rules: RuleSet, table: TransactionTable):
     if len(rules) and table.n_rows == 0:
         raise ValueError("cannot measure rules on a table with no rows")
     slot_bits = _slot_bits(table)
-    bits = np.vstack([slot_bits, np.full((1, slot_bits.shape[1]), ~np.uint64(0))])
-    groups, group_of = rules.antecedent_groups()
+    return slot_bits, np.vstack([slot_bits, np.full((1, slot_bits.shape[1]), ~np.uint64(0))])
+
+
+def _count_pass(rules: RuleSet, table: TransactionTable):
+    """Per-rule (n_x, n_xy, n_y) int64 arrays, plus the number of rows that
+    match at least one antecedent.
+
+    Rules are grouped by antecedent row; each group's row bitset is the AND
+    of its slots' bitsets, built once per step and intersected with every
+    consequent of the group.
+    """
+    slot_bits, bits = _padded_bits(rules, table)
+    groups, group_of = rules.antecedent_groups
     order = np.argsort(group_of, kind="stable")
     n_x = np.zeros(len(rules), dtype=np.int64)
     n_xy = np.zeros(len(rules), dtype=np.int64)
@@ -98,13 +113,25 @@ def _count_pass(rules: RuleSet, table: TransactionTable):
         members = order[start : start + _CHUNK]
         group = group_of[members]
         first = group[0]
-        x_bits = np.bitwise_and.reduce(bits[groups[first : group[-1] + 1]], axis=1)
+        x_bits = _and_rows(bits, groups[first : group[-1] + 1])
         covered |= np.bitwise_or.reduce(x_bits, axis=0)
         x_bits = x_bits[group - first]
         n_x[members] = _popcount(x_bits)
         n_xy[members] = _popcount(bits[rules.consequents[members]] & x_bits)
     n_y = _popcount(slot_bits)[rules.consequents]
     return n_x, n_xy, n_y, int(_popcount(covered))
+
+
+def _covered_rows(rules: RuleSet, table: TransactionTable) -> int:
+    """The number of rows that match at least one antecedent, from the
+    distinct antecedent rows alone."""
+    _, bits = _padded_bits(rules, table)
+    groups, _ = rules.antecedent_groups
+    covered = np.zeros(bits.shape[1], dtype=np.uint64)
+    for start in range(0, len(groups), _CHUNK):
+        covered |= np.bitwise_or.reduce(_and_rows(bits, groups[start : start + _CHUNK]), axis=0)
+    return int(_popcount(covered))
+
 
 
 def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[np.ndarray, ...]:
@@ -118,18 +145,29 @@ def rule_metrics(n_x, n_xy, n_y, n: int) -> tuple[np.ndarray, ...]:
     return n_xy / n, conf_x, n_x / n, zhang_values
 
 
-def evaluate(rules: RuleSet, table: TransactionTable) -> RuleQualityReport:
+def evaluate(rules: RuleSet, table: TransactionTable, *,
+             measured: bool = False) -> RuleQualityReport:
     """Measure every metric for every rule from one counting pass; no rules
     yield a valid all-zero report.
 
     ``per_rule`` is the rules carrying their measured support, confidence,
     zhang and coverage columns. Each mean is a Python ``sum`` over the rules
     in order, divided by their number.
+
+    ``measured=True`` says the rules already carry those four columns,
+    measured on this table (as ``baseline.rules_from_itemsets`` derives
+    them from itemset counts): they are kept as they are, and only the rows
+    the distinct antecedents cover are counted.
     """
-    n_x, n_xy, n_y, covered = _count_pass(rules, table)
-    supports, confidences, coverages, zhangs = rule_metrics(n_x, n_xy, n_y, table.n_rows)
-    per_rule = replace(rules, support=supports, confidence=confidences, zhang=zhangs,
-                       coverage=coverages)
+    if measured:
+        if any(getattr(rules, key) is None for key in _METRICS):
+            raise ValueError("measured rules must carry " + ", ".join(_METRICS))
+        per_rule, covered = rules, _covered_rows(rules, table)
+    else:
+        n_x, n_xy, n_y, covered = _count_pass(rules, table)
+        supports, confidences, coverages, zhangs = rule_metrics(n_x, n_xy, n_y, table.n_rows)
+        per_rule = replace(rules, support=supports, confidence=confidences, zhang=zhangs,
+                           coverage=coverages)
     count = len(per_rule)
 
     def mean(values):
@@ -138,10 +176,10 @@ def evaluate(rules: RuleSet, table: TransactionTable) -> RuleQualityReport:
     return RuleQualityReport(
         per_rule=per_rule,
         rule_count=count,
-        mean_support=mean(supports),
-        mean_confidence=mean(confidences),
-        mean_coverage=mean(coverages),
-        mean_zhang=mean(zhangs),
+        mean_support=mean(per_rule.support),
+        mean_confidence=mean(per_rule.confidence),
+        mean_coverage=mean(per_rule.coverage),
+        mean_zhang=mean(per_rule.zhang),
         data_coverage=covered / table.n_rows if count else 0.0,
     )
 
@@ -170,21 +208,25 @@ def report_to_doc(report: RuleQualityReport, features: list[Feature]) -> dict:
 _REPORT_METRICS = ("confidence", "coverage", "support", "zhang")
 
 
-def report_to_json(report: RuleQualityReport, features: list[Feature], **extra) -> str:
-    """The report, with ``extra`` top-level keys, byte for byte as
-    ``json.dumps({**report_to_doc(report, features), **extra}, indent=2,
-    sort_keys=True)`` writes it; the rules array comes from the specialised
-    writer ``rules_array_json``, which reads the RuleSet's columns."""
+def report_to_json(report: RuleQualityReport, features: list[Feature],
+                   **extra) -> Iterator[str]:
+    """The report, with ``extra`` top-level keys, as chunks that join to the
+    bytes ``json.dumps({**report_to_doc(report, features), **extra},
+    indent=2, sort_keys=True)`` writes; the rules array streams from the
+    specialised writer ``rules_array_json``, which reads the RuleSet's
+    columns."""
     rules = object()
     doc = {**_aggregates(report), "rules": rules, **extra}
     parts = []
-    for key, value in sorted(doc.items()):
+    for i, (key, value) in enumerate(sorted(doc.items())):
+        parts += [",\n  " if i else "{\n  ", json.dumps(key), ": "]
         if value is rules:
-            text = rules_array_json(report.per_rule, features, _REPORT_METRICS, depth=1)
+            yield "".join(parts)
+            parts = []
+            yield from rules_array_json(report.per_rule, features, _REPORT_METRICS, depth=1)
         else:
-            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", text]
-    return "".join([*parts, "\n}"])
+            parts.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+    yield "".join([*parts, "\n}"])
 
 
 def format_report(report: RuleQualityReport, features: list[Feature]) -> str:

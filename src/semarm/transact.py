@@ -345,7 +345,8 @@ def aggregate(series: SensorSeries, window: float) -> SensorSeries:
     means = np.zeros(len(first))
     numeric = np.flatnonzero(keep & ~categorical)
     means[numeric] = _segment_means(numbers, first[numeric], lengths[numeric])
-    modal = np.repeat(keep & categorical, lengths)
+    # a segment of one reading has that reading as its mode
+    modal = np.repeat(keep & categorical & (lengths > 1), lengths)
     if modal.any():
         segment = np.repeat(np.arange(len(first)), lengths)
         seg, code = _segment_modes(codes[modal], segment[modal], len(series.vocab))

@@ -1,16 +1,19 @@
-"""Shared fixtures: a small water-network graph, random-table builders and
-hypothesis strategies for rule lists."""
+"""Shared fixtures: a small water-network graph, random-table builders,
+hypothesis strategies for rule lists, and a rule set that spans several
+chunks of the streamed writers."""
 
 import json
+from dataclasses import replace
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from semarm.extract import Item, Rule
-from semarm.transact import Feature, TransactionTable
+from semarm.transact import Feature, GroupLayout, TransactionTable
 
-from oracles import slot
+from oracles import rule_set, slot
 
 WATER_GRAPH = {
     "ontology": {
@@ -99,3 +102,22 @@ def rule_lists(draw):
             **{key: draw(METRIC_VALUES) for key in keys},
         ))
     return features, rules
+
+
+def many_rules():
+    """(features, rules): every rule with one or two antecedent items over six
+    three-class features, 1890 of them, carrying drawn support, confidence
+    and zhang columns, -0.0 among them."""
+    features = [Feature(f"s{i}", "categorical", ["a", "b", "c"]) for i in range(6)]
+    rules = [
+        Rule(frozenset(Item(f, c) for f, c in zip(chosen, classes)), Item(g, d))
+        for size in (1, 2)
+        for chosen in combinations(range(6), size)
+        for classes in product(range(3), repeat=size)
+        for g in range(6) if g not in chosen
+        for d in range(3)
+    ]
+    rng = np.random.default_rng(31)
+    metrics = {key: np.where(rng.random(len(rules)) < 0.1, -0.0, rng.random(len(rules)).round(3))
+               for key in ("support", "confidence", "zhang")}
+    return features, replace(rule_set(rules, GroupLayout.of(features)), **metrics)

@@ -224,7 +224,8 @@ class TestNumberMemo:
         rules = memo_rules()
         docs = [rule_to_doc(r, MEMO_FEATURES) for r in rules]
         rules = rule_set(rules, GroupLayout.of(MEMO_FEATURES))
-        assert rules_to_json(rules, MEMO_FEATURES) == json.dumps(docs, indent=2, sort_keys=True)
+        assert "".join(rules_to_json(rules, MEMO_FEATURES)) == json.dumps(docs, indent=2,
+                                                                  sort_keys=True)
         report = RuleQualityReport(rules, len(rules), 0.0, -0.0, 1, True, 2**53 + 1)
         expected = json.dumps(report_to_doc(report, MEMO_FEATURES), indent=2, sort_keys=True)
-        assert report_to_json(report, MEMO_FEATURES) == expected
+        assert "".join(report_to_json(report, MEMO_FEATURES)) == expected

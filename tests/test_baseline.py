@@ -1,9 +1,12 @@
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from semarm import baseline
+from semarm import baseline, quality
 from semarm.baseline import (
     FrequentItemset,
     coupled_support_threshold,
@@ -189,6 +192,53 @@ class TestRulesFromItemsets:
             feats = [i.feature for i in rule.antecedent]
             assert len(set(feats)) == len(feats)
             assert rule.consequent.feature not in feats
+
+
+@st.composite
+def mined_tables(draw):
+    """(table, min_support, min_confidence, max_antecedents): a table of
+    1-70 rows (across the 64-row word of the row bitsets) over 1-5 features,
+    single-class ones among them, and the baseline's thresholds."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    n_rows = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = [Feature(f"f{i}", "categorical", [f"v{c}" for c in range(k)])
+                for i, k in enumerate(counts)]
+    table = TransactionTable(features, rng.integers(0, counts, size=(n_rows, len(counts))))
+    min_support = draw(st.sampled_from([1.0 / n_rows, 0.1, 0.3, 0.6, 1.0]))
+    return table, min_support, draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(1, 3))
+
+
+def report_bits(report):
+    """Every field of a report, with each float as its exact bits."""
+    rules = report.per_rule
+    means = ("mean_support", "mean_confidence", "mean_coverage", "mean_zhang", "data_coverage")
+    return (rules.antecedents.tolist(), rules.consequents.tolist(), rules.layout,
+            [getattr(rules, key).tobytes() for key in ("support", "confidence", "zhang",
+                                                        "coverage")],
+            report.rule_count, [float.hex(getattr(report, key)) for key in means])
+
+
+class TestReportFromItemsetCounts:
+    @given(mined_tables())
+    @example((table_from_rows([[0, 1], [1, 0]]), 1.0, 1.0, 1))  # no rules
+    @example((table_from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 1]]), 0.3, 0.0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_full_count_pass(self, drawn):
+        """The baseline route's report, which keeps the metrics of the
+        itemset counts, is the report of counting the same rules afresh."""
+        table, min_support, min_confidence, max_antecedents = drawn
+        itemsets = mine_frequent(table, min_support, max_size=max_antecedents + 1)
+        rules = rules_from_itemsets(itemsets, table, min_confidence, max_antecedents)
+        stripped = replace(rules, support=None, confidence=None, zhang=None, coverage=None)
+        assert report_bits(quality.evaluate(rules, table, measured=True)) == report_bits(
+            quality.evaluate(stripped, table))
+
+    def test_rules_without_measurements_are_refused(self):
+        table = table_from_rows([[0, 0], [0, 0], [1, 1]])
+        rules = rules_from_itemsets(mine_frequent(table, 0.1), table, 0.8, 2)
+        with pytest.raises(ValueError, match="measured rules must carry"):
+            quality.evaluate(replace(rules, zhang=None), table, measured=True)
 
 
 class TestBruteForce:

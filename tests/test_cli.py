@@ -181,6 +181,62 @@ def test_baseline_max_antecedents_below_one_is_named_data_error(small_csv, tmp_p
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("max-antecedents", 0, "--max-antecedents must be at least 1"),
+    ("max-antecedents", -1, "--max-antecedents must be at least 1"),
+    ("similarity-threshold", 0, "--similarity-threshold must be in (0, 1]"),
+    ("similarity-threshold", 1.5, "--similarity-threshold must be in (0, 1]"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_mine_extraction_flags_out_of_range_are_named_data_errors(small_csv, tmp_path, capsys,
+                                                                  option, value, message,
+                                                                  source):
+    """Refused before the model is read or the table is built."""
+    model = tmp_path / "model"
+    assert run("train", "--sensors", small_csv, "--out", model, "--epochs", 1) == 0
+    capsys.readouterr()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({option: value}))
+    given = [f"--{option}", value] if source == "flag" else ["--config", config]
+    assert run("mine", "--sensors", small_csv, "--model", model / "model.json",
+               "--out", tmp_path / "run", *given) == 3
+    assert message in single_data_error(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("min-confidence", 2, "--min-confidence must be in [0, 1]"),
+    ("min-confidence", -0.5, "--min-confidence must be in [0, 1]"),
+    ("min-support", 0, "--min-support must be in (0, 1]"),
+    ("min-support", 1.5, "--min-support must be in (0, 1]"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_baseline_thresholds_out_of_range_are_named_data_errors(small_csv, tmp_path, capsys,
+                                                                option, value, message, source):
+    """Refused before the table is built, so no table file is left behind."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({option: value}))
+    given = [f"--{option}", value] if source == "flag" else ["--config", config]
+    support = [] if option == "min-support" else ["--min-support", 0.5]
+    assert run("baseline", "--sensors", small_csv, "--out", tmp_path / "run",
+               *support, *given) == 3
+    assert message in single_data_error(capsys)
+    assert not (tmp_path / "run" / "transactions.npz").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_baseline_counts_no_rule_on_the_table(dataset, tmp_path, monkeypatch):
+    """The baseline's report keeps the metrics its rules read from the
+    itemset counts; no rule is counted on the table a second time."""
+    counted, count_pass = [], quality._count_pass
+    monkeypatch.setattr(quality, "_count_pass",
+                        lambda rules, table: counted.append(len(rules)) or count_pass(rules, table))
+    assert run("baseline", "--sensors", dataset / "sensors.csv", "--out", tmp_path,
+               "--min-support", 0.05) == 0
+    assert counted == []
+    assert json.loads((tmp_path / "baseline_report.json").read_text())["rule_count"] > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--seed", -1],
     ["train", "--epochs", 1, "--seed", -1],

@@ -22,7 +22,7 @@ from semarm.extract import (
 from semarm.synth import PlantedRule, SyntheticSpec
 from semarm.transact import Feature, GroupLayout, one_hot_encode
 
-from conftest import JSON_NUMBERS, JSON_TEXT, rule_lists
+from conftest import JSON_NUMBERS, JSON_TEXT, many_rules, rule_lists
 from oracles import (
     brute_force_implications,
     count_test_vectors,
@@ -296,7 +296,7 @@ class TestRuleModel:
             Rule(frozenset({Item(0, 0)}), Item(1, 2), support=0.25, confidence=1.0, zhang=1.0),
             Rule(frozenset({Item(1, 1)}), Item(0, 1), support=0.5, confidence=0.5, zhang=-0.5),
         ]
-        text = rules_to_json(rule_set(rules, GroupLayout.of(features)), features)
+        text = "".join(rules_to_json(rule_set(rules, GroupLayout.of(features)), features))
         assert [doc["support"] for doc in json.loads(text)] == [0.25, 0.5]
         parsed = rules_from_json(text, features)
         assert list(parsed) == rules
@@ -339,19 +339,33 @@ class TestRulesJsonWriter:
     def test_bytes_equal_json_dumps_of_the_documents(self, drawn):
         features, rules = drawn
         expected = json.dumps([rule_to_doc(r, features) for r in rules], indent=2, sort_keys=True)
-        assert rules_to_json(rule_set(rules, GroupLayout.of(features)), features) == expected
+        assert "".join(rules_to_json(rule_set(rules, GroupLayout.of(features)), features)) == expected
 
     @given(rule_lists())
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, drawn):
         features, rules = drawn
         columns = rule_set(rules, GroupLayout.of(features))
-        parsed = rules_from_json(rules_to_json(columns, features), features)
+        parsed = rules_from_json("".join(rules_to_json(columns, features)), features)
         assert isinstance(parsed, RuleSet)
         assert parsed.antecedents.tolist() == columns.antecedents.tolist()
         assert parsed.consequents.tolist() == columns.consequents.tolist()
         assert list(parsed) == rules
         assert (parsed.support, parsed.confidence, parsed.zhang, parsed.coverage) == (None,) * 4
+
+
+    def test_a_large_rule_set_streams_in_bounded_chunks(self):
+        features, rules = many_rules()
+        chunks = list(rules_to_json(rules, features))
+        assert len(chunks) > 1
+        # a chunk ends on a document boundary, and a document is one fragment
+        # per key (antecedent, consequent, three metrics) and one to close it
+        per_document = 5 + 1
+        documents = [chunk.count('"antecedent": [') for chunk in chunks]
+        assert sum(documents) == len(rules)
+        assert all(0 < count * per_document <= 4096 for count in documents)
+        expected = json.dumps([rule_to_doc(r, features) for r in rules], indent=2, sort_keys=True)
+        assert "".join(chunks) == expected
 
 
 FAULTS = ("unknown-feature", "unknown-class", "unhashable-name", "missing-item-key",

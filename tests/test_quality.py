@@ -19,7 +19,14 @@ from semarm.quality import (
 )
 from semarm.transact import Feature, GroupLayout, TransactionTable
 
-from conftest import JSON_NUMBERS, JSON_TEXT, METRIC_VALUES, make_random_table, rule_lists
+from conftest import (
+    JSON_NUMBERS,
+    JSON_TEXT,
+    METRIC_VALUES,
+    make_random_table,
+    many_rules,
+    rule_lists,
+)
 from oracles import (
     confidence,
     data_coverage,
@@ -503,7 +510,7 @@ class TestReportJsonWriter:
         report, features, extra = drawn
         doc = {**report_to_doc(report, features), **extra}
         expected = json.dumps(doc, indent=2, sort_keys=True)
-        assert report_to_json(report, features, **extra) == expected
+        assert "".join(report_to_json(report, features, **extra)) == expected
 
     def test_evaluated_report(self):
         rng = np.random.default_rng(59)
@@ -513,10 +520,24 @@ class TestReportJsonWriter:
             extra = {"min_support": 0.05, "timings": {"mine_seconds": 0.25}}
             expected = json.dumps({**report_to_doc(report, table.features), **extra},
                                   indent=2, sort_keys=True)
-            assert report_to_json(report, table.features, **extra) == expected
+            assert "".join(report_to_json(report, table.features, **extra)) == expected
+
+    def test_a_large_report_streams_in_bounded_chunks(self):
+        features, rules = many_rules()
+        rules = replace(rules, coverage=rules.support[::-1].copy())
+        report = RuleQualityReport(rules, len(rules), 0.25, -0.0, 0.5, 0.125, 1.0)
+        extra = {"min_support": 0.05, "timings": {"mine_seconds": 0.25}}
+        chunks = list(report_to_json(report, features, **extra))
+        documents = [chunk.count('"antecedent": [') for chunk in chunks]
+        assert sum(documents) == len(rules) and sum(map(bool, documents)) > 1
+        # one fragment per key (antecedent, consequent, four metrics) and a close
+        assert all(count * (6 + 1) <= 4096 for count in documents)
+        expected = json.dumps({**report_to_doc(report, features), **extra},
+                              indent=2, sort_keys=True)
+        assert "".join(chunks) == expected
 
     def test_extra_keys_override_as_in_a_dict_merge(self):
         report = evaluate_rules([], table_from_rows([[0, 0]]))
         expected = json.dumps({**report_to_doc(report, []), "rules": {"a": [1]}, "rule_count": -1},
                               indent=2, sort_keys=True)
-        assert report_to_json(report, [], rules={"a": [1]}, rule_count=-1) == expected
+        assert "".join(report_to_json(report, [], rules={"a": [1]}, rule_count=-1)) == expected

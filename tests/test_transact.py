@@ -517,6 +517,34 @@ def raw_series():
     return raw_readings().map(lambda drawn: (oracle_from_readings(drawn[0]), drawn[1]))
 
 
+@st.composite
+def one_and_tied_windows(draw):
+    """(readings, window): categorical sensors whose (sensor, window) cells
+    each hold one reading or several whose most frequent classes tie, with
+    a numeric sensor alongside at times."""
+    window = draw(st.sampled_from(WINDOWS))
+    sensors = draw(st.lists(st.sampled_from(SENSOR_NAMES), min_size=1, max_size=4, unique=True))
+    numeric = draw(st.sampled_from([None, *sensors])) if len(sensors) > 1 else None
+    windows = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    readings = []
+    for sensor in sensors:
+        for w in windows:
+            if sensor == numeric:
+                values = draw(st.lists(st.sampled_from([0.5, -1.0, 2.0]), min_size=1, max_size=3))
+            elif draw(st.booleans()):
+                values = [draw(st.sampled_from("abc"))]
+            else:  # the tied classes k times each, and at times one other class once
+                tied = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True))
+                k = draw(st.integers(1, 3))
+                once = k > 1 and draw(st.booleans())
+                other = [c for c in "abcd" if c not in tied][:1] if once else []
+                values = draw(st.permutations(tied * k + other))
+            offsets = draw(st.lists(st.integers(0, 999), min_size=len(values),
+                                    max_size=len(values), unique=True))
+            readings += [((sensor, (w + o / 1000) * window), v) for o, v in zip(offsets, values)]
+    return dict(draw(st.permutations(readings))), window
+
+
 class TestSeriesColumns:
     @given(raw_readings())
     @settings(max_examples=150, deadline=None)
@@ -564,6 +592,17 @@ class TestColumnarMatchesOracle:
                 aggregate(series, window)
         else:
             assert exact_items(aggregate(series, window).readings) == exact_items(expected.readings)
+
+    @given(one_and_tied_windows())
+    @example(({("s1", 0.0): "b", ("s1", 60.0): "b", ("s1", 61.0): "a"}, 60.0))
+    @settings(max_examples=150, deadline=None)
+    def test_aggregate_mixes_one_reading_and_tied_windows(self, drawn):
+        """A one-reading window keeps its reading as its mode, beside windows
+        whose tied modes go to the smallest class."""
+        readings, window = drawn
+        series = oracle_from_readings(readings)
+        expected = oracle_aggregate(series, window)
+        assert exact_items(aggregate(series, window).readings) == exact_items(expected.readings)
 
     @given(raw_series(), st.integers(1, 12), st.sampled_from([None, 0, 1, 2]), st.booleans())
     @example((oracle_from_readings({}), 60.0), 1, None, False)
